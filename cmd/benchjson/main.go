@@ -94,7 +94,7 @@ var defaultTargets = []struct{ pkg, bench, benchtime string }{
 	{"./internal/core/", "BenchmarkDispatch", ""},
 	{"./internal/dist/", "BenchmarkPoolDispatch", ""},
 	// The v3 wire data plane: pure codec cost (must stay 0 allocs/op)
-	// and the end-to-end loopback dispatch rate for v2 vs v3. Pinned
+	// and the end-to-end loopback dispatch rate. Pinned
 	// iteration counts: the wireGuard alloc/floor gates need enough
 	// iterations to amortize session setup, so a time-based CI smoke
 	// (100x) must not starve them.
@@ -309,8 +309,8 @@ func serviceGuard(rep Report) []string {
 //     the pooling discipline, not jitter — the same property
 //     TestWireCodecV3ZeroAlloc pins with AllocsPerRun, re-checked here
 //     so the committed perf report can't drift from the test.
-//   - BenchmarkWireLoopback/proto=v3 (real TCP loopback, multiplexed
-//     sessions, full dispatch round trip) must stay above an absolute
+//   - BenchmarkWireLoopback (real TCP loopback, one multiplexed
+//     session, full dispatch round trip) must stay above an absolute
 //     jobs/s floor. The floor is far below healthy numbers — 390k/s
 //     measured on a 1-vCPU host, see EXPERIMENTS.md — because shared
 //     runners stall; it exists to catch the pathological regressions
@@ -334,7 +334,8 @@ func wireGuard(rep Report) []string {
 				fmt.Fprintf(os.Stderr, "benchjson: wire codec 0 allocs/op (%s)\n", b.Name)
 			}
 		}
-		if strings.HasPrefix(b.Name, "BenchmarkWireLoopback/proto=v3") {
+		// Names carry a -GOMAXPROCS suffix (BenchmarkWireLoopback-4).
+		if b.Name == "BenchmarkWireLoopback" || strings.HasPrefix(b.Name, "BenchmarkWireLoopback-") {
 			rate, ok := b.Metrics["jobs/s"]
 			if !ok {
 				continue

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -107,6 +109,10 @@ func crashTrial(t *testing.T, r *rand.Rand, policy string, nJobs int) (kills, to
 		var durable map[int]bool
 		if attempt > 0 {
 			st, err := wal.Replay(walDir)
+			if errors.Is(err, fs.ErrNotExist) {
+				// Killed before gopar created the log: nothing is durable.
+				st, err = &wal.State{}, nil
+			}
 			if err != nil {
 				t.Fatalf("policy=%s attempt=%d: replay before resume: %v", policy, attempt, err)
 			}

@@ -1,9 +1,14 @@
 package dist
 
 import (
+	"bufio"
 	"context"
 	"fmt"
+	"io"
+	"math/rand"
 	"net"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,14 +23,7 @@ import (
 // returns its address.
 func startWorker(t *testing.T, name string, slots int, runner core.Runner) string {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	go Serve(ctx, l, WorkerConfig{Name: name, Slots: slots, Runner: runner})
-	return l.Addr().String()
+	return startWorkerCfg(t, WorkerConfig{Name: name, Slots: slots, Runner: runner})
 }
 
 func echoRunner(prefix string) core.FuncRunner {
@@ -226,8 +224,8 @@ func TestPoolWorkerDeathAndRetry(t *testing.T) {
 // connections can be torn down, simulating a node crash (Serve only
 // closes its listener on ctx cancellation; established connections
 // linger, which is realistic for a hung node but useless for testing
-// hard crashes).
-func startKillableWorker(t *testing.T, addr, name string) (string, func()) {
+// hard crashes). cfg.Runner defaults to an echo runner.
+func startKillableWorker(t *testing.T, addr string, cfg WorkerConfig) (string, func()) {
 	t.Helper()
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -236,7 +234,9 @@ func startKillableWorker(t *testing.T, addr, name string) (string, func()) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var mu sync.Mutex
 	var conns []net.Conn
-	cfg := WorkerConfig{Name: name, Slots: 1, Runner: echoRunner(name)}
+	if cfg.Runner == nil {
+		cfg.Runner = echoRunner(cfg.Name)
+	}
 	go func() {
 		for {
 			conn, err := l.Accept()
@@ -268,7 +268,7 @@ func TestPoolHealthAndRedialBudget(t *testing.T) {
 	// budget, then is written off as Lost; the survivor keeps the pool
 	// usable at degraded capacity instead of the redialer spinning
 	// forever.
-	a1, kill1 := startKillableWorker(t, "127.0.0.1:0", "dying")
+	a1, kill1 := startKillableWorker(t, "127.0.0.1:0", WorkerConfig{Name: "dying"})
 	a2 := startWorker(t, "steady", 1, echoRunner("s"))
 
 	pool, err := Dial(
@@ -283,18 +283,22 @@ func TestPoolHealthAndRedialBudget(t *testing.T) {
 		t.Fatalf("initial health = %+v", h)
 	}
 
-	// Kill worker 1 for good, then run jobs until its slot exposes the
-	// broken connection.
+	// Kill worker 1 for good. The session notices on its own; a job that
+	// races the detection fails with a transport error, every other one
+	// lands on the survivor. None may succeed on the dead worker.
 	kill1()
-	var sawErr bool
+	errs := 0
 	for i := 0; i < 2; i++ {
 		res := pool.Run(context.Background(), &core.Job{Seq: i + 1, Args: []string{"x"}})
-		if res.Err != nil {
-			sawErr = true
+		switch {
+		case res.Err != nil:
+			errs++
+		case res.Host != "steady":
+			t.Fatalf("job %d succeeded on the dead worker: %+v", i+1, res)
 		}
 	}
-	if !sawErr {
-		t.Fatal("no transport error observed after worker death")
+	if errs > 1 {
+		t.Fatalf("%d transport errors, want at most the one job racing detection", errs)
 	}
 
 	// Budget 2 with 100ms+200ms backoff: the slot should be declared
@@ -323,7 +327,7 @@ func TestPoolHealthAndRedialBudget(t *testing.T) {
 
 func TestPoolRedialRecovers(t *testing.T) {
 	// A worker that comes back within the budget restores Live capacity.
-	addr, kill1 := startKillableWorker(t, "127.0.0.1:0", "flaky")
+	addr, kill1 := startKillableWorker(t, "127.0.0.1:0", WorkerConfig{Name: "flaky"})
 
 	pool, err := Dial([]WorkerSpec{{Addr: addr}}, WithRedialBudget(20))
 	if err != nil {
@@ -331,14 +335,19 @@ func TestPoolRedialRecovers(t *testing.T) {
 	}
 	defer pool.Close()
 
+	// With its only worker dead the job fails: with a transport error if
+	// it raced the session's detection, or by waiting out its context
+	// for capacity that is still redialing.
 	kill1()
-	res := pool.Run(context.Background(), &core.Job{Seq: 1, Args: []string{"x"}})
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	res := pool.Run(ctx, &core.Job{Seq: 1, Args: []string{"x"}})
+	cancel()
 	if res.Err == nil {
-		t.Fatal("expected transport error from dead worker")
+		t.Fatal("job on a dead worker reported success")
 	}
 
 	// Resurrect the worker on the same address.
-	startKillableWorker(t, addr, "flaky")
+	startKillableWorker(t, addr, WorkerConfig{Name: "flaky"})
 
 	deadline := time.Now().Add(15 * time.Second)
 	for pool.Health().Live != 1 {
@@ -362,24 +371,223 @@ func TestDialErrors(t *testing.T) {
 	}
 }
 
-func TestProtocolVersionMismatch(t *testing.T) {
-	// A fake worker speaking the wrong version is rejected.
+// fakeWorker accepts one connection, sends greeting, and hangs up.
+func fakeWorker(t *testing.T, greeting []byte) string {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
+	t.Cleanup(func() { l.Close() })
 	go func() {
 		conn, err := l.Accept()
 		if err != nil {
 			return
 		}
-		c := newCodec(conn)
-		c.send(hello{Version: 99, Name: "future", Slots: 1})
+		conn.Write(greeting)
 		conn.Close()
 	}()
-	if _, err := Dial([]WorkerSpec{{Addr: l.Addr().String()}}); err == nil {
-		t.Fatal("version mismatch accepted")
+	return l.Addr().String()
+}
+
+// TestProtocolVersionMismatch: a peer that does not speak this build's
+// protocol is refused with an error naming it and what it sent — on the
+// coordinator at Dial, and on the worker by closing the connection.
+func TestProtocolVersionMismatch(t *testing.T) {
+	junk := make([]byte, 64)
+	rand.New(rand.NewSource(1)).Read(junk)
+	junk[0] = 0xff // not '{', and a length prefix far past maxFrame
+	cases := []struct {
+		name     string
+		greeting []byte
+		want     string
+	}{
+		{"legacy_JSON_hello", []byte(`{"version":1,"name":"old","slots":4,"max_version":3}` + "\n"),
+			"speaks the pre-v3 JSON protocol"},
+		{"future_version", frameBytes(t, encodeHelloV3(nil, hello{Version: 4, Name: "future", Slots: 1})),
+			`("future") announces protocol version 4`},
+		{"zero_slots", frameBytes(t, encodeHelloV3(nil, hello{Version: protocolVersion, Name: "empty", Slots: 0})),
+			`("empty") advertises 0 slots`},
+		{"random_bytes", junk, "sent no valid hello"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := fakeWorker(t, tc.greeting)
+			pool, err := Dial([]WorkerSpec{{Addr: addr}})
+			if err == nil {
+				pool.Close()
+				t.Fatal("Dial accepted the peer")
+			}
+			if msg := err.Error(); !strings.Contains(msg, "worker "+addr) || !strings.Contains(msg, tc.want) {
+				t.Fatalf("Dial error %q, want it to name worker %s and %q", msg, addr, tc.want)
+			}
+		})
+	}
+
+	t.Run("coordinator_JSON_line", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		logs := make(chan string, 1) // the one refusal
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		served := make(chan error, 1)
+		go func() {
+			served <- Serve(ctx, l, WorkerConfig{Name: "w", Slots: 2, Runner: echoRunner("w"),
+				Logf: func(format string, args ...any) { logs <- fmt.Sprintf(format, args...) }})
+		}()
+
+		conn, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(2 * time.Second))
+		br := bufio.NewReader(conn)
+		if _, err := readHello(br, "w", nil); err != nil {
+			t.Fatalf("worker greeting: %v", err)
+		}
+		// What a pre-v3 coordinator sends after the hello.
+		if _, err := conn.Write([]byte(`{"upgrade":2}` + "\n")); err != nil {
+			t.Fatal(err)
+		}
+		if rest, err := io.ReadAll(br); err != nil || len(rest) != 0 {
+			t.Fatalf("worker answered %q (err %v), want the connection closed", rest, err)
+		}
+		select {
+		case msg := <-logs:
+			if !strings.Contains(msg, "coordinator "+conn.LocalAddr().String()) ||
+				!strings.Contains(msg, "speaks the pre-v3 JSON protocol") {
+				t.Fatalf("logged %q", msg)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("refusal not logged")
+		}
+
+		cancel()
+		select {
+		case <-served:
+		case <-time.After(2 * time.Second):
+			t.Fatal("Serve did not return after cancel")
+		}
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > baseline; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines left behind", runtime.NumGoroutine()-baseline)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	})
+}
+
+// TestPoolMultiplexesSlots: one connection carries a worker's whole
+// slot pool, and its slots run concurrently over it.
+func TestPoolMultiplexesSlots(t *testing.T) {
+	var mu sync.Mutex
+	inflight, peak := 0, 0
+	addr := startWorker(t, "wc", 4, core.FuncRunner(func(ctx context.Context, job *core.Job) ([]byte, error) {
+		mu.Lock()
+		inflight++
+		peak = max(peak, inflight)
+		mu.Unlock()
+		time.Sleep(20 * time.Millisecond)
+		mu.Lock()
+		inflight--
+		mu.Unlock()
+		return []byte("ok"), nil
+	}))
+	pool, err := Dial([]WorkerSpec{{Addr: addr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	if len(pool.live) != 1 || pool.Slots() != 4 {
+		t.Fatalf("%d sessions, %d slots; want 4 slots on one session", len(pool.live), pool.Slots())
+	}
+	spec, _ := core.NewSpec("", pool.Slots())
+	eng, _ := core.NewEngine(spec, pool)
+	stats, _, err := eng.Run(context.Background(), args.Literal("a", "b", "c", "d", "e", "f", "g", "h"))
+	if err != nil || stats.Succeeded != 8 {
+		t.Fatalf("stats=%+v err=%v", stats, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if peak < 2 {
+		t.Fatalf("peak concurrency %d over one multiplexed connection, want >= 2", peak)
+	}
+}
+
+// TestSessionLossRetiresAllSlots kills a worker's connection while three
+// jobs are parked on it: every parked Run fails promptly, and the whole
+// slot block moves live → redialing → lost — session death must not
+// strand tokens.
+func TestSessionLossRetiresAllSlots(t *testing.T) {
+	parked := make(chan struct{}, 3)
+	release := make(chan struct{})
+	addr, kill := startKillableWorker(t, "127.0.0.1:0", WorkerConfig{Name: "doomed", Slots: 3,
+		Runner: core.FuncRunner(func(ctx context.Context, job *core.Job) ([]byte, error) {
+			parked <- struct{}{}
+			<-release
+			return nil, nil
+		})})
+	t.Cleanup(func() { close(release) })
+
+	var hmu sync.Mutex
+	var transitions []Health
+	pool, err := Dial([]WorkerSpec{{Addr: addr}}, WithRedialBudget(1),
+		WithHealthNotify(func(h Health) {
+			hmu.Lock()
+			transitions = append(transitions, h)
+			hmu.Unlock()
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	if h := pool.Health(); h != (Health{Total: 3, Live: 3}) {
+		t.Fatalf("initial health = %+v", h)
+	}
+
+	errs := make(chan error, 3)
+	for seq := 1; seq <= 3; seq++ {
+		go func(seq int) {
+			errs <- pool.Run(context.Background(), &core.Job{Seq: seq}).Err
+		}(seq)
+	}
+	for i := 0; i < 3; i++ {
+		select {
+		case <-parked:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d jobs reached the worker", i)
+		}
+	}
+
+	kill()
+	killed := time.Now()
+	for i := 0; i < 3; i++ {
+		select {
+		case err := <-errs:
+			if err == nil {
+				t.Fatal("a job parked on the dead session reported success")
+			}
+		case <-time.After(time.Second - time.Since(killed)):
+			t.Fatalf("%d of 3 parked jobs still waiting 1s after the connection died", 3-i)
+		}
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	for pool.Health() != (Health{Total: 3, Lost: 3}) {
+		if time.Now().After(deadline) {
+			t.Fatalf("session loss never fully accounted: %+v", pool.Health())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	hmu.Lock()
+	defer hmu.Unlock()
+	want := []Health{{Total: 3, Redialing: 3}, {Total: 3, Lost: 3}}
+	if !reflect.DeepEqual(transitions, want) {
+		t.Fatalf("health transitions = %+v, want %+v", transitions, want)
 	}
 }
 

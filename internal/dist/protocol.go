@@ -9,293 +9,117 @@
 // Listing 1 — which internal/cluster models; dist covers the
 // direct-distribution alternative for clusters without a scheduler).
 //
-// The base protocol (v1) is line-delimited JSON over TCP, one in-flight
-// job per connection; a Pool opens one connection per advertised worker
-// slot. Protocol v2, negotiated through the hello's max_version field,
-// multiplexes a worker's whole slot pool over one connection and moves
-// to batched length-prefixed frames: a writer goroutine coalesces
-// queued jobs (or results) into one frame and flushes only when its
-// queue goes idle, so a dispatch burst pays one syscall instead of one
-// per job. Old workers never announce max_version and keep speaking v1
-// against new coordinators, and vice versa.
-//
-// Protocol v3 (see protocol_v3.go) keeps v2's negotiation, multiplexing
-// and coalescing discipline but replaces the JSON frame payloads with a
-// pooled binary codec: varint headers, length-delimited strings, a
-// CRC32C trailer per frame, optional deflate for large payloads, and
-// zero steady-state allocations per job on the encode and decode paths.
-// There is no authentication: like rsh-era sshlogin, it is for trusted
-// networks (or localhost) only, and says so in cmd/gopard's usage.
+// There is one wire dialect, protocol v3 (see protocol_v3.go), and no
+// negotiation: coordinator and worker ship from the same build. On
+// accept the worker sends a hello frame (version, name, slot count);
+// the coordinator checks it and refuses a peer that announces another
+// version or greets with the pre-v3 JSON line, naming the address and
+// what the peer sent. After the hello, one TCP connection multiplexes
+// the worker's whole slot pool: a writer goroutine on each side
+// coalesces queued jobs (or results) into one binary frame and flushes
+// only when its queue goes idle, so a dispatch burst pays one syscall
+// instead of one per job. Frames carry varint headers, length-delimited
+// strings, a CRC32C trailer, optional deflate for large payloads, and
+// cost zero steady-state allocations per job on the encode and decode
+// paths. There is no authentication: like rsh-era sshlogin, it is for
+// trusted networks (or localhost) only, and says so in cmd/gopard's
+// usage.
 package dist
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"io"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
-// protocolVersion is the announced base version; it stays 1 so builds
-// that predate negotiation still pass their strict equality check.
-// protocolMax is the highest version this build can speak.
-const (
-	protocolVersion = 1
-	protocolMax     = 3
-)
+// protocolVersion is the one version this build speaks; a hello that
+// announces any other is refused.
+const protocolVersion = 3
 
-// hello is sent by the worker on connection accept.
+// hello is the worker's greeting, the first frame on every connection.
 type hello struct {
-	Version int    `json:"version"`
-	Name    string `json:"name"`
-	Slots   int    `json:"slots"`
-	// MaxVersion advertises the highest protocol version the worker
-	// speaks. Omitted (0) by pre-v2 workers, which pins the connection
-	// to v1.
-	MaxVersion int `json:"max_version,omitempty"`
-}
-
-// upgrade is the coordinator's protocol-switch message, sent as a v1
-// JSON line immediately after a hello that advertises MaxVersion >= 2.
-// Everything after it is length-prefixed v2 frames in both directions.
-type upgrade struct {
-	Upgrade int `json:"upgrade"`
-}
-
-// firstMsg lets a worker decode the coordinator's first message without
-// knowing yet whether it is an upgrade or a plain v1 request.
-type firstMsg struct {
-	Upgrade int `json:"upgrade,omitempty"`
-	request
+	Version int
+	Name    string
+	Slots   int
 }
 
 // request is one job execution request.
 type request struct {
-	Seq     int      `json:"seq"`
-	Slot    int      `json:"slot"`
-	Command string   `json:"command"`
-	Args    []string `json:"args,omitempty"`
-	Env     []string `json:"env,omitempty"`
-	Stdin   []byte   `json:"stdin,omitempty"`
+	Seq     int
+	Slot    int
+	Command string
+	Args    []string
+	Env     []string
+	Stdin   []byte
 	// TimeoutNS caps execution worker-side (belt and braces: the
 	// coordinator also enforces it).
-	TimeoutNS int64 `json:"timeout_ns,omitempty"`
+	TimeoutNS int64
 }
 
 // response reports one job's outcome.
 type response struct {
-	Seq      int    `json:"seq"`
-	ExitCode int    `json:"exit_code"`
-	Err      string `json:"err,omitempty"`
-	Stdout   []byte `json:"stdout,omitempty"`
-	Stderr   []byte `json:"stderr,omitempty"`
-	StartNS  int64  `json:"start_ns"`
-	EndNS    int64  `json:"end_ns"`
-	TimedOut bool   `json:"timed_out,omitempty"`
+	Seq      int
+	ExitCode int
+	Err      string
+	Stdout   []byte
+	Stderr   []byte
+	StartNS  int64
+	EndNS    int64
+	TimedOut bool
 	// RecvNS is when the worker received the request (worker clock).
 	// StartNS - RecvNS is the worker-side dispatch overhead, a
 	// sub-segment of the coordinator's DispatchDelay that span
-	// timelines attribute separately. Optional: old workers omit it.
-	RecvNS int64 `json:"recv_ns,omitempty"`
+	// timelines attribute separately.
+	RecvNS int64
 	// SentBytes is how many stdin bytes the job actually consumed on
-	// the worker — the joblog Send column. Optional: old workers omit
-	// it and the coordinator falls back to the request's stdin size.
-	SentBytes int `json:"sent_bytes,omitempty"`
-	// Telemetry piggybacks the worker's current counters on every
-	// response, so the coordinator aggregates fleet state with zero
-	// extra round trips. Optional: old workers simply omit it.
-	Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
+	// the worker — the joblog Send column.
+	SentBytes int
 }
 
-// codec frames v1 JSON messages over a stream.
-type codec struct {
-	enc *json.Encoder
-	dec *json.Decoder
-	bw  *bufio.Writer
-}
-
-func newCodec(rw io.ReadWriter) *codec {
-	return newCodecRW(bufio.NewReader(rw), bufio.NewWriter(rw))
-}
-
-// newCodecRW builds a codec over caller-owned buffered halves, so the
-// caller can later take the stream back for v2 framing (any bytes the
-// JSON decoder read ahead are recovered via leftover).
-func newCodecRW(br *bufio.Reader, bw *bufio.Writer) *codec {
-	return &codec{
-		enc: json.NewEncoder(bw),
-		dec: json.NewDecoder(br),
-		bw:  bw,
-	}
-}
-
-// leftover returns whatever the v1 JSON decoder buffered beyond the
-// last decoded message; a v2 frame reader must consume this before the
-// underlying stream. Decode stops at the end of a JSON value and leaves
-// the line-terminating newline unread, so leading whitespace is
-// stripped — a frame header must never start with it.
-func (c *codec) leftover() io.Reader {
-	b, _ := io.ReadAll(c.dec.Buffered())
-	for len(b) > 0 && (b[0] == '\n' || b[0] == '\r' || b[0] == ' ' || b[0] == '\t') {
-		b = b[1:]
-	}
-	return bytes.NewReader(b)
-}
-
-func (c *codec) send(v any) error {
-	if err := c.enc.Encode(v); err != nil {
-		return err
-	}
-	return c.bw.Flush()
-}
-
-func (c *codec) recv(v any) error { return c.dec.Decode(v) }
-
-// --- v2 framing ---------------------------------------------------------
-
-// maxFrame bounds one frame's payload. It protects both sides from a
-// corrupt or hostile length prefix; legitimate batches (job argv plus
-// captured output, capped at maxBatchItems entries) sit far below it.
+// maxFrame bounds one frame. It protects both sides from a corrupt or
+// hostile length prefix; legitimate frames (job argv plus captured
+// output, capped at maxBatchItemsV3 entries) sit far below it.
 const maxFrame = 16 << 20
-
-// maxBatchItems caps how many messages one frame coalesces, bounding
-// both frame size and the latency a queued job can hide behind its
-// batch.
-const maxBatchItems = 64
-
-// batch is a v2 frame payload: jobs travel coordinator→worker, results
-// travel back. A frame carries one direction only, but the type is
-// shared so both sides use the same decoder (and the same fuzz target).
-type batch struct {
-	Jobs    []request  `json:"jobs,omitempty"`
-	Results []response `json:"results,omitempty"`
-}
-
-// writeFrame emits one length-prefixed payload without flushing; the
-// caller decides when the stream has gone idle enough to pay the
-// syscall.
-func writeFrame(bw *bufio.Writer, payload []byte) error {
-	if len(payload) > maxFrame {
-		return fmt.Errorf("dist: frame of %d bytes exceeds limit %d", len(payload), maxFrame)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := bw.Write(payload)
-	return err
-}
-
-// readFrame reads one length-prefixed payload.
-func readFrame(br *bufio.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("dist: frame of %d bytes exceeds limit %d", n, maxFrame)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, err
-	}
-	return payload, nil
-}
-
-// writeBatch marshals and frames one batch (no flush). st, when non-nil,
-// counts the framed bytes so v2 traffic shows up in the same wire
-// telemetry as v3.
-func writeBatch(bw *bufio.Writer, b *batch, st *WireStats) error {
-	payload, err := json.Marshal(b)
-	if err != nil {
-		return err
-	}
-	if err := writeFrame(bw, payload); err != nil {
-		return err
-	}
-	if st != nil {
-		st.bytesSent.Add(uint64(len(payload)) + 4)
-		st.framesSent.Add(1)
-	}
-	return nil
-}
-
-// readBatch reads and decodes one framed batch.
-func readBatch(br *bufio.Reader, st *WireStats) (batch, error) {
-	var b batch
-	payload, err := readFrame(br)
-	if err != nil {
-		return b, err
-	}
-	if st != nil {
-		st.bytesRecv.Add(uint64(len(payload)) + 4)
-		st.framesRecv.Add(1)
-	}
-	if err := json.Unmarshal(payload, &b); err != nil {
-		return b, fmt.Errorf("dist: decoding frame: %w", err)
-	}
-	return b, nil
-}
-
-// batchWriter is the coalescing send loop both sides of a v2 connection
-// run: take one queued message, greedily drain whatever else is already
-// queued (up to maxBatchItems), emit a single frame, and flush only
-// when the queue is idle — a burst of messages costs one syscall, a
-// lone message still departs immediately. Returns nil when ch closes;
-// a close on done aborts without error.
-func batchWriter[T any](bw *bufio.Writer, ch <-chan T, done <-chan struct{}, st *WireStats, wrap func([]T) batch) error {
-	for {
-		var first T
-		var ok bool
-		select {
-		case first, ok = <-ch:
-			if !ok {
-				return bw.Flush()
-			}
-		case <-done:
-			return nil
-		}
-		items := []T{first}
-		for len(items) < maxBatchItems {
-			more := false
-			select {
-			case v, ok := <-ch:
-				if ok {
-					items = append(items, v)
-					more = true
-				}
-			default:
-			}
-			if !more {
-				break
-			}
-		}
-		b := wrap(items)
-		if err := writeBatch(bw, &b, st); err != nil {
-			return err
-		}
-		if len(ch) == 0 {
-			if err := bw.Flush(); err != nil {
-				return err
-			}
-		}
-	}
-}
 
 func nsToTime(ns int64) time.Time { return time.Unix(0, ns) }
 
-func checkHello(h hello) error {
+func checkHello(addr string, h hello) error {
 	if h.Version != protocolVersion {
-		return fmt.Errorf("dist: protocol version %d, want %d", h.Version, protocolVersion)
+		return fmt.Errorf("dist: worker %s (%q) announces protocol version %d; this build speaks only %d",
+			addr, h.Name, h.Version, protocolVersion)
 	}
 	if h.Slots < 1 {
-		return fmt.Errorf("dist: worker %q advertises %d slots", h.Name, h.Slots)
+		return fmt.Errorf("dist: worker %s (%q) advertises %d slots", addr, h.Name, h.Slots)
 	}
 	return nil
+}
+
+// refuseJSON reports a peer whose first byte opens a JSON object: a
+// pre-v3 build, which greets with a JSON line. Without it the '{' would
+// be read as the top byte of an out-of-range frame length.
+func refuseJSON(br *bufio.Reader, peer string) error {
+	if b, err := br.Peek(1); err == nil && b[0] == '{' {
+		return fmt.Errorf("dist: %s speaks the pre-v3 JSON protocol", peer)
+	}
+	return nil
+}
+
+// readHello reads and checks the greeting of the worker at addr.
+func readHello(br *bufio.Reader, addr string, st *WireStats) (hello, error) {
+	if err := refuseJSON(br, "worker "+addr); err != nil {
+		return hello{}, err
+	}
+	var buf []byte
+	typ, body, err := readFrameV3(br, &buf, st)
+	if err == nil && typ != frameHelloV3 {
+		err = fmt.Errorf("frame type %d", typ)
+	}
+	var h hello
+	if err == nil {
+		h, err = decodeHelloV3(body)
+	}
+	if err != nil {
+		return hello{}, fmt.Errorf("dist: worker %s sent no valid hello: %w", addr, err)
+	}
+	return h, checkHello(addr, h)
 }

@@ -3,18 +3,20 @@ package dist
 // Protocol v3: length-prefixed binary frames with varint-encoded
 // headers and string/byte fields, CRC32C-checked payloads, and a pooled
 // codec so the steady-state encode→write and read→decode path touches
-// zero per-job heap allocations. Negotiated through the same
-// hello.max_version handshake as v2; the batch-coalescing send
-// discipline (one frame per queued burst, flush only when the queue
-// goes idle) carries over unchanged.
+// zero per-job heap allocations. Sends coalesce: one frame per queued
+// burst, flushed only when the queue goes idle.
 //
 // Frame layout (all multi-byte integers big-endian, varints as in
 // encoding/binary):
 //
 //	u32  length          — bytes that follow (type + body + crc)
-//	u8   type            — 1 jobs, 2 results
+//	u8   type            — 1 jobs, 2 results, 3 hello
 //	...  body            — see below
 //	u32  crc32c          — Castagnoli CRC over type + body
+//
+// Hello body (worker → coordinator, once, first on the connection):
+//
+//	u8 version · str name · uvarint slots
 //
 // Jobs body:    uvarint count, then per request:
 //
@@ -34,7 +36,7 @@ package dist
 // unix_nano) piggybacks once per frame instead of once per response.
 //
 // str is uvarint length + bytes. A raw blob is uvarint length + bytes;
-// a deflated blob (large payloads above the negotiated-side threshold)
+// a deflated blob (large payloads above the sender's threshold)
 // is uvarint raw_length · uvarint deflated_length · deflated bytes.
 //
 // Decoding is zero-copy where lifetimes allow it: the worker decodes
@@ -63,6 +65,7 @@ import (
 const (
 	frameJobsV3    = 1
 	frameResultsV3 = 2
+	frameHelloV3   = 3
 
 	flagStdinDeflated  = 1 << 0 // request flags
 	flagTimedOut       = 1 << 0 // response flags
@@ -127,9 +130,9 @@ func b2s(b []byte) string {
 
 // --- wire telemetry -----------------------------------------------------
 
-// WireStats counts framed-protocol traffic (v2 and v3; v1 has no
-// frames). One instance aggregates a whole pool or worker; counters are
-// monotonic and safe for concurrent use.
+// WireStats counts framed-protocol traffic. One instance aggregates a
+// whole pool or worker; counters are monotonic and safe for concurrent
+// use.
 type WireStats struct {
 	bytesSent, bytesRecv   atomic.Uint64
 	framesSent, framesRecv atomic.Uint64
@@ -164,8 +167,8 @@ func (s *WireStats) Register(reg *telemetry.Registry, prefix string) {
 	cf := func(c *atomic.Uint64) func() float64 {
 		return func() float64 { return float64(c.Load()) }
 	}
-	reg.CounterFunc(prefix+"_bytes_sent_total", "Framed wire bytes sent (v2/v3 dialects).", cf(&s.bytesSent))
-	reg.CounterFunc(prefix+"_bytes_received_total", "Framed wire bytes received (v2/v3 dialects).", cf(&s.bytesRecv))
+	reg.CounterFunc(prefix+"_bytes_sent_total", "Framed wire bytes sent.", cf(&s.bytesSent))
+	reg.CounterFunc(prefix+"_bytes_received_total", "Framed wire bytes received.", cf(&s.bytesRecv))
 	reg.CounterFunc(prefix+"_frames_sent_total", "Wire frames sent.", cf(&s.framesSent))
 	reg.CounterFunc(prefix+"_frames_received_total", "Wire frames received.", cf(&s.framesRecv))
 	reg.CounterFunc(prefix+"_deflate_raw_bytes_total", "Pre-compression size of deflated payload fields.", cf(&s.rawBytes))
@@ -418,6 +421,13 @@ func encodeResultsV3(b []byte, resps []response, snap telemetry.Snapshot, hasSna
 	return b
 }
 
+// encodeHelloV3 appends a whole hello-frame body into b.
+func encodeHelloV3(b []byte, h hello) []byte {
+	b = append(b, frameHelloV3, byte(h.Version))
+	b = appendStrV3(b, h.Name)
+	return binary.AppendUvarint(b, uint64(h.Slots))
+}
+
 // --- decoding -----------------------------------------------------------
 
 // v3dec is a bounds-checked cursor over one frame body with a sticky
@@ -649,7 +659,6 @@ func decodeResultsV3(body []byte, dst []response, sessName string) ([]response, 
 		r.Err = d.strCopy()
 		r.Stdout = d.blobCopy(flags&flagStdoutDeflated != 0)
 		r.Stderr = d.blobCopy(flags&flagStderrDeflated != 0)
-		r.Telemetry = nil
 	}
 	hasSnap := false
 	if d.u8() == 1 {
@@ -671,6 +680,16 @@ func decodeResultsV3(body []byte, dst []response, sessName string) ([]response, 
 		return resps, snap, false, errCorruptFrame
 	}
 	return resps, snap, hasSnap, nil
+}
+
+// decodeHelloV3 decodes a hello-frame body; checkHello judges it.
+func decodeHelloV3(body []byte) (hello, error) {
+	d := v3dec{b: body, ok: true}
+	h := hello{Version: int(d.u8()), Name: d.strCopy(), Slots: int(d.uvarint())}
+	if !d.ok || d.off != len(body) {
+		return hello{}, errCorruptFrame
+	}
+	return h, nil
 }
 
 // --- send loops ---------------------------------------------------------

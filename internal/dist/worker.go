@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"log"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -17,7 +16,7 @@ import (
 
 // WorkerTelemetry tracks a worker's execution counters. Every Serve
 // call keeps one (supplied or internal) and piggybacks a Snapshot on
-// each job response; gopard additionally exposes the same counters on
+// each result frame; gopard additionally exposes the same counters on
 // its own /metrics endpoint via Register.
 type WorkerTelemetry struct {
 	name  string
@@ -65,8 +64,8 @@ type WorkerConfig struct {
 	// Name identifies this worker in joblogs (defaults to the
 	// listener address).
 	Name string
-	// Slots advertised to coordinators (a coordinator opens up to this
-	// many concurrent connections). Defaults to 8.
+	// Slots advertised to coordinators: how many jobs one connection
+	// runs at once. Defaults to 8.
 	Slots int
 	// Runner executes jobs (default: real processes via ExecRunner).
 	Runner core.Runner
@@ -74,13 +73,9 @@ type WorkerConfig struct {
 	Logf func(format string, args ...any)
 	// Telemetry, when non-nil, is the counter set snapshots are taken
 	// from (share it with a metrics endpoint). Nil allocates an
-	// internal one — responses always carry telemetry either way.
+	// internal one — result frames always carry telemetry either way.
 	Telemetry *WorkerTelemetry
-	// MaxProtocol caps the protocol version this worker negotiates
-	// (0 = the highest this build speaks). Tests pin it to 1 or 2 to
-	// exercise interop with older coordinators and workers.
-	MaxProtocol int
-	// DeflateThreshold is the v3 payload size (bytes) above which stdout
+	// DeflateThreshold is the payload size (bytes) above which stdout
 	// and stderr are shipped deflated. 0 means DefaultDeflateThreshold;
 	// negative disables compression.
 	DeflateThreshold int
@@ -104,8 +99,7 @@ func resolveDeflateMin(n int) int {
 
 // Serve accepts coordinator connections on l and executes their jobs
 // until ctx is done or the listener fails. Each connection is served by
-// its own goroutine; one job runs at a time per connection (the pool
-// provides parallelism by opening one connection per slot).
+// its own goroutines and runs up to cfg.Slots jobs at once.
 func Serve(ctx context.Context, l net.Listener, cfg WorkerConfig) error {
 	if cfg.Slots < 1 {
 		cfg.Slots = 8
@@ -166,56 +160,19 @@ func serveConn(ctx context.Context, conn net.Conn, cfg WorkerConfig) error {
 	if cfg.Slots < 1 {
 		cfg.Slots = 1
 	}
-	maxProto := cfg.MaxProtocol
-	if maxProto <= 0 || maxProto > protocolMax {
-		maxProto = protocolMax
-	}
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	c := newCodecRW(br, bw)
+	bw := bufio.NewWriterSize(conn, v3BufSize)
 	h := hello{Version: protocolVersion, Name: cfg.Name, Slots: cfg.Slots}
-	if maxProto >= 2 {
-		h.MaxVersion = maxProto
-	}
-	if err := c.send(h); err != nil {
+	if err := writeFrameV3(bw, encodeHelloV3(nil, h), cfg.Wire); err != nil {
 		return err
 	}
-
-	// The first coordinator message decides the dialect: an upgrade
-	// switches to framed protocol (v3 binary or v2 JSON, whichever both
-	// sides speak), anything else is a v1 request from an old
-	// coordinator.
-	var first firstMsg
-	if err := c.recv(&first); err != nil {
-		return eofAsNil(err)
+	if err := bw.Flush(); err != nil {
+		return err
 	}
-	if first.Upgrade >= 2 && maxProto >= 2 {
-		// The JSON decoder may have read ahead past the upgrade line;
-		// hand its leftover back to the frame reader. v3 gets deep
-		// buffers so full coalesced frames move in single syscalls (the
-		// hello send flushed bw, so a fresh writer on conn is safe).
-		if first.Upgrade >= 3 && maxProto >= 3 {
-			fr := bufio.NewReaderSize(io.MultiReader(c.leftover(), br), v3BufSize)
-			return serveConnV3(ctx, cfg, fr, bufio.NewWriterSize(conn, v3BufSize))
-		}
-		fr := bufio.NewReader(io.MultiReader(c.leftover(), br))
-		return serveConnV2(ctx, cfg, fr, bw)
+	br := bufio.NewReaderSize(conn, v3BufSize)
+	if err := refuseJSON(br, "coordinator "+conn.RemoteAddr().String()); err != nil {
+		return err
 	}
-
-	req := first.request
-	recv := time.Now()
-	for {
-		resp := execute(ctx, cfg.Runner, cfg.Telemetry, req)
-		resp.RecvNS = recv.UnixNano()
-		if err := c.send(resp); err != nil {
-			return err
-		}
-		req = request{} // the decoder only overwrites fields present in the JSON
-		if err := c.recv(&req); err != nil {
-			return eofAsNil(err)
-		}
-		recv = time.Now()
-	}
+	return serveConnV3(ctx, cfg, br, bw)
 }
 
 func eofAsNil(err error) error {
@@ -225,55 +182,6 @@ func eofAsNil(err error) error {
 	return err
 }
 
-// serveConnV2 is the batched dialect: one multiplexed connection runs up
-// to cfg.Slots jobs concurrently; requests arrive in coalesced frames
-// and responses leave through a coalescing writer that flushes when its
-// queue goes idle.
-func serveConnV2(ctx context.Context, cfg WorkerConfig, br *bufio.Reader, bw *bufio.Writer) error {
-	respq := make(chan response, 4*cfg.Slots)
-	writeErr := make(chan error, 1)
-	go func() {
-		writeErr <- batchWriter(bw, respq, nil, cfg.Wire, func(rs []response) batch {
-			return batch{Results: rs}
-		})
-	}()
-
-	sem := make(chan struct{}, cfg.Slots)
-	var jobs sync.WaitGroup
-	var readErr error
-recvLoop:
-	for {
-		b, err := readBatch(br, cfg.Wire)
-		if err != nil {
-			readErr = err
-			break
-		}
-		recv := time.Now().UnixNano()
-		for _, req := range b.Jobs {
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				readErr = ctx.Err()
-				break recvLoop
-			}
-			jobs.Add(1)
-			go func(req request) {
-				defer jobs.Done()
-				defer func() { <-sem }()
-				resp := execute(ctx, cfg.Runner, cfg.Telemetry, req)
-				resp.RecvNS = recv
-				respq <- resp // writer drains until close
-			}(req)
-		}
-	}
-	jobs.Wait()
-	close(respq)
-	if werr := <-writeErr; werr != nil && eofAsNil(readErr) == nil {
-		return werr
-	}
-	return eofAsNil(readErr)
-}
-
 // jobItemV3 points one slot worker at one request inside a decoded
 // (refcounted) jobs frame.
 type jobItemV3 struct {
@@ -281,12 +189,12 @@ type jobItemV3 struct {
 	idx int
 }
 
-// serveConnV3 is the binary dialect: requests arrive in CRC-checked
-// binary frames and are decoded zero-copy into pooled frame buffers; a
-// fixed pool of cfg.Slots goroutines executes them with one reused
-// core.Job each, and responses leave through a coalescing writer that
-// piggybacks one telemetry snapshot per frame. The steady-state path
-// allocates nothing per job.
+// serveConnV3 serves one connection after the hello: requests arrive in
+// CRC-checked binary frames and are decoded zero-copy into pooled frame
+// buffers; a fixed pool of cfg.Slots goroutines executes them with one
+// reused core.Job each, and responses leave through a coalescing writer
+// that piggybacks one telemetry snapshot per frame. The steady-state
+// path allocates nothing per job.
 func serveConnV3(ctx context.Context, cfg WorkerConfig, br *bufio.Reader, bw *bufio.Writer) error {
 	deflateMin := resolveDeflateMin(cfg.DeflateThreshold)
 	respq := make(chan response, 4*cfg.Slots)
@@ -365,10 +273,9 @@ recvLoop:
 	return eofAsNil(readErr)
 }
 
-// executeV3 runs one zero-copy decoded request. Unlike execute it fills
-// a caller-owned Job and never attaches a per-response telemetry
-// snapshot (v3 piggybacks one per frame in the writer instead), keeping
-// the per-job path allocation-free.
+// executeV3 runs one zero-copy decoded request in a caller-owned Job.
+// The telemetry snapshot rides once per result frame (the writer adds
+// it), keeping the per-job path allocation-free.
 func executeV3(ctx context.Context, runner core.Runner, wt *WorkerTelemetry, job *core.Job, req *request, recvNS int64) response {
 	job.Seq = req.Seq
 	job.Slot = req.Slot
@@ -407,47 +314,3 @@ func executeV3(ctx context.Context, runner core.Runner, wt *WorkerTelemetry, job
 	}
 	return resp
 }
-
-func execute(ctx context.Context, runner core.Runner, wt *WorkerTelemetry, req request) response {
-	job := &core.Job{
-		Seq:     req.Seq,
-		Slot:    req.Slot,
-		Command: req.Command,
-		Args:    req.Args,
-		Env:     req.Env,
-		Stdin:   req.Stdin,
-	}
-	runCtx := ctx
-	var cancel context.CancelFunc
-	if req.TimeoutNS > 0 {
-		runCtx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutNS))
-		defer cancel()
-	}
-	wt.started.Add(1)
-	wt.busy.Add(1)
-	res := runner.Run(runCtx, job)
-	wt.busy.Add(-1)
-	resp := response{
-		Seq:       res.Job.Seq,
-		ExitCode:  res.ExitCode,
-		Stdout:    res.Stdout,
-		Stderr:    res.Stderr,
-		StartNS:   res.Start.UnixNano(),
-		EndNS:     res.End.UnixNano(),
-		TimedOut:  res.TimedOut || (req.TimeoutNS > 0 && runCtx.Err() == context.DeadlineExceeded),
-		SentBytes: res.StdinSent,
-	}
-	if res.Err != nil {
-		resp.Err = res.Err.Error()
-	}
-	if res.OK() && !resp.TimedOut {
-		wt.ok.Add(1)
-	} else {
-		wt.failed.Add(1)
-	}
-	snap := wt.Snapshot()
-	resp.Telemetry = &snap
-	return resp
-}
-
-var _ = log.Printf // reserved for future default logging

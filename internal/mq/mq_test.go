@@ -2,6 +2,7 @@ package mq
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -78,6 +79,34 @@ func TestTopicPersistenceAndTornWrite(t *testing.T) {
 	if seq, err := tp2.Append([]byte("gamma")); err != nil || seq != 2 {
 		t.Fatalf("append after repair: %d, %v", seq, err)
 	}
+}
+
+// TestTopicReadOutOfRangeDuringAppend races out-of-range Reads, whose
+// error reports the topic length, against Appends that grow it. Run it
+// with -race: the length must be read under the topic lock.
+func TestTopicReadOutOfRangeDuringAppend(t *testing.T) {
+	tp, err := OpenTopic(t.TempDir(), "race")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tp.Close()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 500; i++ {
+			if _, err := tp.Append([]byte("m")); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 500; i++ {
+		if _, err := tp.Read(1 << 40); !errors.Is(err, ErrOutOfRange) {
+			t.Fatalf("Read past the end: %v, want ErrOutOfRange", err)
+		}
+	}
+	wg.Wait()
 }
 
 func TestTopicCommitOffsets(t *testing.T) {

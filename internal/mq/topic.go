@@ -142,9 +142,9 @@ func (t *Topic) Append(msg []byte) (int64, error) {
 // Read returns message seq.
 func (t *Topic) Read(seq int64) ([]byte, error) {
 	t.mu.Lock()
-	if seq < 0 || seq >= int64(len(t.offsets)) {
+	if n := len(t.offsets); seq < 0 || seq >= int64(n) {
 		t.mu.Unlock()
-		return nil, fmt.Errorf("%w: %d of %d", ErrOutOfRange, seq, len(t.offsets))
+		return nil, fmt.Errorf("%w: %d of %d", ErrOutOfRange, seq, n)
 	}
 	off := t.offsets[seq]
 	t.mu.Unlock()
