@@ -133,7 +133,13 @@ func crashTrial(t *testing.T, r *rand.Rand, policy string, nJobs int) (kills, to
 		kill := attempt == 0 || r.Intn(100) < 40
 		var killed bool
 		if kill {
+			// The first attempt's kill lands inside the run: 40 jobs of
+			// 5 ms on 4 slots take at least 50 ms, so a 2–31 ms delay
+			// never finds gopar already exited.
 			delay := time.Duration(2+r.Intn(100)) * time.Millisecond
+			if attempt == 0 {
+				delay = time.Duration(2+r.Intn(30)) * time.Millisecond
+			}
 			done := make(chan error, 1)
 			go func() { done <- cmd.Wait() }()
 			select {

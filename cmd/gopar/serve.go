@@ -43,7 +43,7 @@ func runServe(argv []string) int {
 		listen      = fs.String("listen", "127.0.0.1:0", "HTTP API listen address")
 		dir         = fs.String("dir", "", "service state directory (required)")
 		slots       = fs.Int("slots", 8, "global execution slot pool shared by all queues")
-		walSyncMode = fs.String("wal-sync", "interval", "queue WAL durability: always|interval|never")
+		walSyncMode = fs.String("wal-sync", "interval", "queue log durability, submit acks included: always|interval|never")
 		defQuota    = fs.Int("default-quota", 0, "quota for auto-created queues (0 = slots)")
 		defWeight   = fs.Int("default-weight", 1, "fair-share weight for auto-created queues")
 		queues      = fs.String("queues", "", "pre-create queues: name=quota:weight[,name=quota:weight...]")

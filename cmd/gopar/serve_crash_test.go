@@ -70,7 +70,7 @@ func serveCrashTrial(t *testing.T, r *rand.Rand, nJobs int) {
 
 	// What was durably complete at the kill? (wal-sync=always: every
 	// recorded completion. The submit acks themselves are backed by the
-	// topic append + WAL intent, checked below via "nothing lost".)
+	// fsynced submit records, checked below via "nothing lost".)
 	st, err := wal.Replay(walDir)
 	if err != nil {
 		t.Fatalf("replay after kill: %v", err)

@@ -374,7 +374,6 @@ func TestPoolWireMetricsExposition(t *testing.T) {
 
 // BenchmarkWireLoopback measures raw pool.Run round-trips per second
 // over loopback with a noop runner — the wire path alone, no engine.
-// cmd/benchjson holds it above an absolute jobs/s floor.
 func BenchmarkWireLoopback(b *testing.B) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -424,8 +423,8 @@ func BenchmarkWireLoopback(b *testing.B) {
 }
 
 // BenchmarkWireCodecV3 measures the pure codec round trip (encode jobs,
-// zero-copy decode, encode results, copy-out decode) — the 0 allocs/op
-// regression gate in BENCH_pr9.json.
+// zero-copy decode, encode results, copy-out decode); its 0 allocs/op
+// is pinned by TestWireCodecV3ZeroAlloc.
 func BenchmarkWireCodecV3(b *testing.B) {
 	reqs := []request{{Seq: 1, Slot: 3, Command: "doit --fast", Args: []string{"a", "b"}, Env: []string{"K=V"}}}
 	resps := []response{{Seq: 1, ExitCode: 0, StartNS: 100, EndNS: 200, RecvNS: 50}}

@@ -2,40 +2,10 @@ package experiments
 
 import "testing"
 
-// BenchmarkFig1Sharded times the paper's largest weak-scaling point —
-// 9,000 Frontier nodes x 128 tasks — on the serial oracle and on the
-// 4-shard parallel kernel. benchjson pins it to -benchtime=1x, so
-// ns/op is the wall clock of one full-scale simulation per mode and
-// the pair feeds the shardGuard speedup/overhead gate. Both modes
-// produce bit-identical rows (the digest matrix proves it); only the
-// wall clock may differ.
-func BenchmarkFig1Sharded(b *testing.B) {
-	const nodes = 9000
-	for _, mode := range []struct {
-		name   string
-		shards int
-	}{
-		{"mode=serial", 0},
-		{"mode=shards4", 4},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			opts := DefaultOptions()
-			opts.Shards = mode.shards
-			for i := 0; i < b.N; i++ {
-				row := Fig1Point(opts, nodes)
-				if row.Tasks != nodes*fig1TasksPerNode {
-					b.Fatalf("task count = %d, want %d", row.Tasks, nodes*fig1TasksPerNode)
-				}
-			}
-			b.ReportMetric(float64(b.N)*float64(nodes*fig1TasksPerNode)/b.Elapsed().Seconds(), "tasks/s")
-		})
-	}
-}
-
 // BenchmarkWeakScale100k times the 100,000-node point (1.6M tasks) on
 // the parallel kernel — the scale target the sharded DES exists for.
-// Not part of the benchjson default set (the CI smoke test covers it);
-// run by hand to profile the kernel at full population:
+// The CI smoke test covers it; run it by hand to profile the kernel at
+// full population:
 //
 //	go test ./internal/experiments/ -run NONE -bench WeakScale100k -benchtime 1x
 func BenchmarkWeakScale100k(b *testing.B) {

@@ -50,8 +50,8 @@ type SubmitRequest struct {
 	Commands []string `json:"commands,omitempty"`
 }
 
-// SubmitResponse acks accepted jobs. On a mid-batch failure the
-// accepted prefix is still reported alongside the error (HTTP 500).
+// SubmitResponse acks accepted jobs. A batch is accepted whole or not
+// at all: on failure Seqs is empty and Error says why.
 type SubmitResponse struct {
 	Queue string   `json:"queue"`
 	Seqs  []int    `json:"seqs"`

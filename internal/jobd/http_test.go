@@ -49,18 +49,25 @@ func TestHTTPSubmitAndStatus(t *testing.T) {
 }
 
 func TestHTTPBatchSubmit(t *testing.T) {
-	_, c := newAPIServer(t, newCountRunner(), nil)
+	r := newCountRunner()
+	_, c := newAPIServer(t, r, nil)
 	ctx := context.Background()
 	cmds := make([]string, 20)
 	for i := range cmds {
 		cmds[i] = fmt.Sprintf("job-%d", i)
 	}
+	// A batch with one empty command is rejected whole: no seq is
+	// assigned and none of its commands runs.
+	bad := append(append([]string{"first"}, cmds[:3]...), "", "last")
+	if seqs, err := c.Submit(ctx, "batch", bad...); err == nil || len(seqs) != 0 {
+		t.Fatalf("batch with an empty command = %v, %v; want rejected whole", seqs, err)
+	}
 	seqs, err := c.Submit(ctx, "batch", cmds...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seqs) != 20 {
-		t.Fatalf("got %d seqs, want 20", len(seqs))
+	if len(seqs) != 20 || seqs[0] != 1 {
+		t.Fatalf("got seqs %v, want 1..20", seqs)
 	}
 	for _, seq := range seqs {
 		st, err := c.Status(ctx, "batch", seq, 10*time.Second)
@@ -70,6 +77,9 @@ func TestHTTPBatchSubmit(t *testing.T) {
 		if st.State != "ok" {
 			t.Fatalf("job %d state %s", seq, st.State)
 		}
+	}
+	if r.count("first") != 0 || r.count("last") != 0 || r.total() != 20 {
+		t.Fatalf("rejected batch ran: first=%d last=%d total=%d", r.count("first"), r.count("last"), r.total())
 	}
 }
 

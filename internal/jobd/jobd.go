@@ -5,20 +5,18 @@
 //
 // Architecture per queue:
 //
-//   - an mq.Topic is the submit log (one raw command string per
-//     message, append-only, replayable) — the durable source of truth
-//     for *what* was accepted;
-//   - a wal.Log is the execution log (intent before dispatch,
-//     completion after) — the durable source of truth for *how far*
-//     execution got, exactly as in one-shot --wal runs;
-//   - a long-lived core.Engine generation consumes the topic through a
-//     blocking args.Source (mq's long-poll idiom), with Jobs set to
-//     the queue's quota and ResumeFrom/WALDigests rebuilt from the WAL
-//     on every (re)start.
+//   - one wal.Log is the queue's only log: a submit record per accepted
+//     command, a cancel record per cancel, and the engine's intents and
+//     completions exactly as in one-shot --wal runs. One replay rebuilds
+//     the job table, pending commands included;
+//   - a long-lived core.Engine generation reads the job table through a
+//     blocking args.Source, with Jobs set to the queue's quota and
+//     ResumeFrom holding every terminal job on every (re)start.
 //
-// Every accepted submit is topic-appended and WAL-intent-logged before
-// the ack, so a SIGKILL'd daemon restarts into the same state machine
-// the one-shot crash harness proves: durable completions never
+// Every accepted submit is logged before the ack (written through under
+// every -wal-sync policy, fsynced under always), so a SIGKILL'd daemon
+// restarts into the same state machine the one-shot crash harness
+// proves: acked submits are never lost, durable completions never
 // re-execute, unlogged-completion jobs re-run exactly once.
 //
 // A weighted fair scheduler arbitrates the global slot pool across
@@ -84,9 +82,13 @@ type Config struct {
 	// defaults to Slots when <= 0 — a lone tenant gets the fleet).
 	DefaultQuota  int
 	DefaultWeight int
-	// WALSync is each queue WAL's durability policy (the --wal-sync
-	// trade-off: SyncAlways = durable ack, SyncInterval = ack may
-	// precede durability by one group-commit window).
+	// WALSync is each queue log's durability policy, for submits as for
+	// execution records. SyncAlways: a submit ack means its commands
+	// are on disk (one fsync per batch). SyncInterval: the commands
+	// reached the OS before the ack, so they survive a daemon kill, and
+	// reach the disk within one group-commit window. SyncNever: they
+	// survive a daemon kill but not a host crash. A cancel is fsynced
+	// before its ack under every policy.
 	WALSync wal.SyncPolicy
 	// Runner executes jobs; nil selects ExecRunner with output
 	// discarded unless Results is set.
@@ -219,9 +221,9 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// validQueueName mirrors mq topic-name rules: path separators and dots
-// are forbidden because the name becomes a directory component, and it
-// doubles as the ID prefix ("queue/seq") so a slash would be ambiguous.
+// validQueueName forbids path separators and dots because the name
+// becomes a directory component, and it doubles as the ID prefix
+// ("queue/seq") so a slash would be ambiguous.
 func validQueueName(name string) error {
 	if name == "" || len(name) > 128 || strings.ContainsAny(name, "/\\.") {
 		return fmt.Errorf("jobd: invalid queue name %q", name)
@@ -311,8 +313,8 @@ func (s *Server) Stats() []QueueStats {
 // running after that are cancelled and recorded as failed — a graceful
 // stop always leaves every dispatched job in a terminal state, and
 // clients resubmit failures). Pending, never-dispatched jobs keep their
-// WAL intent and run on the next start. Then every WAL, topic and event
-// bus is flushed and closed. Only an unclean death (SIGKILL, power
+// submit record and run on the next start. Then every WAL and event bus
+// is flushed and closed. Only an unclean death (SIGKILL, power
 // loss) leaves jobs mid-flight; those re-run exactly once on resume.
 func (s *Server) Close() error {
 	s.mu.Lock()

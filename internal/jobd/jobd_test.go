@@ -2,7 +2,10 @@ package jobd
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -333,6 +336,18 @@ func TestCancelSurvivesRestart(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// One log per queue: the cancel lives in the WAL beside the submits.
+	entries, err := os.ReadDir(filepath.Join(dir, "alpha"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if got := strings.Join(names, " "); got != "queue.json wal" {
+		t.Fatalf("queue directory holds %q, want %q", got, "queue.json wal")
+	}
 
 	r.setGate(nil)
 	s2 := newTestServer(t, dir, r, nil)
@@ -356,6 +371,87 @@ func TestCancelSurvivesRestart(t *testing.T) {
 	}
 	if r.count("victim") != 0 {
 		t.Fatalf("cancelled job ran %d times after restart", r.count("victim"))
+	}
+}
+
+// TestCancelRacingCompletion releases each running job's gate and then
+// cancels it after a delay that sweeps across the job's finish, so some
+// cancels land before the completion, some after and some while it is
+// being recorded. Whichever reaches the log first decides, and every
+// view must agree with it: the cancel's answer, the job's final state,
+// and its state after a restart. A cancel that lands after the
+// completion gets ErrAlreadyDone and leaves the job ok.
+func TestCancelRacingCompletion(t *testing.T) {
+	const n = 40
+	dir := t.TempDir()
+	gates := make([]chan struct{}, n+1)
+	for i := range gates {
+		gates[i] = make(chan struct{})
+	}
+	running := make(chan struct{}, n)
+	runner := core.FuncRunner(func(ctx context.Context, job *core.Job) ([]byte, error) {
+		running <- struct{}{}
+		select {
+		case <-gates[job.Seq]:
+			return nil, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	})
+	s := newTestServer(t, dir, runner, func(c *Config) { c.Slots = n })
+	q, err := s.ConfigureQueue("race", QueueConfig{Quota: n, Weight: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmds := make([]string, n)
+	for i := range cmds {
+		cmds[i] = fmt.Sprintf("job-%d", i+1)
+	}
+	seqs, err := q.Submit(cmds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range seqs {
+		<-running
+	}
+	final := map[int]string{}
+	wins := map[bool]int{}
+	for i, seq := range seqs {
+		close(gates[seq])
+		for start, d := time.Now(), time.Duration(i)*5*time.Microsecond; time.Since(start) < d; {
+		}
+		st, err := q.Cancel(seq)
+		end := waitTerminal(t, q, seq)
+		switch {
+		case err == nil:
+			if (st.State != "running" && st.State != "cancelled") || end.State != "cancelled" {
+				t.Fatalf("job %d: cancel accepted as %s, settled %s", seq, st.State, end.State)
+			}
+		case errors.Is(err, ErrAlreadyDone):
+			if st.State != "ok" || end.State != "ok" {
+				t.Fatalf("job %d: cancel refused as %s, settled %s", seq, st.State, end.State)
+			}
+		default:
+			t.Fatalf("job %d: cancel: %v", seq, err)
+		}
+		wins[err == nil]++
+		final[seq] = end.State
+	}
+	t.Logf("cancel won %d races, completion %d", wins[true], wins[false])
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newTestServer(t, dir, runner, nil)
+	defer s2.Close()
+	q2, err := s2.Queue("race")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq, want := range final {
+		if st, err := q2.Status(seq); err != nil || st.State != want {
+			t.Fatalf("job %d after restart: %s, %v; before it %s", seq, st.State, err, want)
+		}
 	}
 }
 

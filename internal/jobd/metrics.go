@@ -27,7 +27,7 @@ func newQueueMetrics(reg *telemetry.Registry, q *queue) *queueMetrics {
 	l := telemetry.L("queue", q.name)
 	m := &queueMetrics{
 		submitted: reg.Counter("jobd_jobs_submitted_total",
-			"jobs accepted (topic-appended and intent-logged)", l),
+			"jobs accepted (submit logged)", l),
 		doneOK: reg.Counter("jobd_jobs_completed_total",
 			"jobs reaching a terminal state", l, telemetry.L("outcome", "ok")),
 		doneFailed: reg.Counter("jobd_jobs_completed_total",

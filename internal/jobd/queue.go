@@ -16,7 +16,6 @@ import (
 	"repro/internal/args"
 	"repro/internal/core"
 	"repro/internal/flight"
-	"repro/internal/mq"
 	"repro/internal/span"
 	"repro/internal/telemetry"
 	"repro/internal/tmpl"
@@ -57,13 +56,14 @@ func (c jobStateCode) String() string {
 // job reaches a terminal state — the long-poll primitive behind
 // GET /v1/jobs/{q}/{seq}?wait=...
 type jobEntry struct {
-	state     jobStateCode
 	exit      int
-	cancelled bool
 	submitted time.Time // zero for jobs submitted before the last daemon start
 	started   time.Time
 	ended     time.Time
 	done      chan struct{}
+	cmd       string // the command, dropped once the job is terminal
+	state     jobStateCode
+	cancelled bool
 }
 
 // closedChan is the shared pre-closed done channel for entries that
@@ -74,21 +74,18 @@ var closedChan = func() chan struct{} {
 	return ch
 }()
 
-// queue is one named tenant queue: submit log (topic), execution log
-// (WAL), job table, event bus, and the current engine generation.
+// queue is one named tenant queue: its log (WAL), job table, event
+// bus, and the current engine generation.
 type queue struct {
 	name string
 	dir  string
 	srv  *Server
 
-	topic *mq.Topic
-	wal   *wal.Log
-	bus   *telemetry.Bus
-	sq    *schedQueue
-	met   *queueMetrics
-
-	cancelMu sync.Mutex // serializes cancel-log appends
-	cancelF  *os.File
+	wal  *wal.Log
+	bus  *telemetry.Bus
+	sq   *schedQueue
+	met  *queueMetrics
+	wake chan struct{} // cap 1: a submit nudges the engine's source
 
 	spanF    *os.File
 	spanW    *bufio.Writer
@@ -98,9 +95,8 @@ type queue struct {
 	mu        sync.Mutex
 	cfg       QueueConfig
 	jobs      map[int]*jobEntry
-	cancelled map[int]bool // persisted cancel set (survives restart)
 	cancels   map[int]context.CancelFunc
-	submitted int // highest seq handed out (== topic length)
+	submitted int // every seq up to this one has a table row
 	counts    [numStates]int
 	broken    error
 	closed    bool
@@ -135,38 +131,25 @@ func (s *Server) openQueue(name string, cfg QueueConfig, create bool) (*queue, e
 	}
 	cfg = stored.normalized()
 
-	topic, err := mq.OpenTopic(dir, "jobs")
-	if err != nil {
-		return nil, err
-	}
 	wl, st, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{
 		Sync:          s.cfg.WALSync,
 		FsyncObserver: s.wm.ObserveFsync,
 	})
 	if err != nil {
-		topic.Close()
 		return nil, err
 	}
 	s.wm.RecordReplay(st.Records, st.TornTails)
-	cancelled, cancelF, err := openCancelLog(dir)
-	if err != nil {
-		topic.Close()
-		wl.Close()
-		return nil, err
-	}
 
 	q := &queue{
-		name:      name,
-		dir:       dir,
-		srv:       s,
-		topic:     topic,
-		wal:       wl,
-		bus:       telemetry.NewBus(),
-		cancelF:   cancelF,
-		cfg:       cfg,
-		jobs:      map[int]*jobEntry{},
-		cancelled: cancelled,
-		cancels:   map[int]context.CancelFunc{},
+		name:    name,
+		dir:     dir,
+		srv:     s,
+		wal:     wl,
+		bus:     telemetry.NewBus(),
+		wake:    make(chan struct{}, 1),
+		cfg:     cfg,
+		jobs:    map[int]*jobEntry{},
+		cancels: map[int]context.CancelFunc{},
 	}
 	q.met = newQueueMetrics(s.reg, q)
 	q.rebuildTable(st)
@@ -198,7 +181,7 @@ func (s *Server) openQueue(name string, cfg QueueConfig, create bool) (*queue, e
 
 	q.engMu.Lock()
 	defer q.engMu.Unlock()
-	if err := q.startEngineLocked(st); err != nil {
+	if err := q.startEngineLocked(); err != nil {
 		s.sched.unregister(q.sq)
 		if s.cfg.Flight != nil {
 			s.cfg.Flight.RemoveSource(q.flightSourceName())
@@ -263,65 +246,27 @@ func readQueueConfig(path string) (QueueConfig, error) {
 	return cfg, json.Unmarshal(data, &cfg)
 }
 
-// openCancelLog loads the persisted cancel set (one seq per line).
-func openCancelLog(dir string) (map[int]bool, *os.File, error) {
-	path := filepath.Join(dir, "cancelled.log")
-	set := map[int]bool{}
-	if data, err := os.ReadFile(path); err == nil {
-		for _, line := range splitLines(data) {
-			if seq, perr := strconv.Atoi(line); perr == nil && seq > 0 {
-				set[seq] = true
-			}
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
-	return set, f, nil
-}
-
-func splitLines(data []byte) []string {
-	var out []string
-	start := 0
-	for i, b := range data {
-		if b == '\n' {
-			if i > start {
-				out = append(out, string(data[start:i]))
-			}
-			start = i + 1
-		}
-	}
-	if start < len(data) {
-		out = append(out, string(data[start:]))
-	}
-	return out
-}
-
-// rebuildTable reconstructs the job table from the durable facts at
-// open time: the topic (what was accepted), the replayed WAL (what
-// finished, with which exit), and the cancel set.
+// rebuildTable reconstructs the job table from the replayed log: every
+// seq up to the last submit, with its cancel, its completion or its
+// pending command.
 func (q *queue) rebuildTable(st *wal.State) {
-	n := int(q.topic.Len())
+	n := st.LastSeq()
 	q.submitted = n
 	for seq := 1; seq <= n; seq++ {
-		e := &jobEntry{}
-		switch exit, done := st.Completed[seq]; {
-		case q.cancelled[seq]:
+		e := &jobEntry{done: closedChan}
+		exit, done := st.Completed[seq]
+		cmd := st.Pending[seq]
+		switch {
+		case st.Cancelled[seq]:
 			e.state, e.cancelled = stateCancelled, true
 		case done && exit == 0:
 			e.state = stateOK
 		case done:
 			e.state, e.exit = stateFailed, exit
-		default:
-			e.state = statePending
-		}
-		if e.state.terminal() {
-			e.done = closedChan
-		} else {
-			e.done = make(chan struct{})
+		case cmd != "":
+			e.state, e.cmd, e.done = statePending, cmd, make(chan struct{})
+		default: // no command logged: a directory an older gopar serve wrote
+			e.state, e.exit = stateFailed, -1
 		}
 		q.jobs[seq] = e
 		q.counts[e.state]++
@@ -336,7 +281,6 @@ func (q *queue) closeFiles() error {
 		}
 	}
 	keep(q.wal.Close())
-	keep(q.topic.Close())
 	q.bus.Close()
 	if q.spanDone != nil {
 		<-q.spanDone // pump ends once the bus closes its subscription
@@ -345,7 +289,6 @@ func (q *queue) closeFiles() error {
 		keep(q.spanF.Sync())
 		keep(q.spanF.Close())
 	}
-	keep(q.cancelF.Close())
 	return firstErr
 }
 
@@ -388,60 +331,47 @@ func (q *queue) usableLocked() error {
 	return nil
 }
 
-// ensureEntryLocked returns seq's table row, creating a pending one if
-// the event/tap side observed the job before Submit's table insert
-// (the topic append wakes the engine's long-poll before Submit regains
-// the lock — benign, but the row must exist).
-func (q *queue) ensureEntryLocked(seq int) *jobEntry {
-	e := q.jobs[seq]
-	if e == nil {
-		e = &jobEntry{done: make(chan struct{})}
-		q.jobs[seq] = e
-		q.counts[statePending]++
-		if seq > q.submitted {
-			q.submitted = seq
-		}
-	}
-	return e
-}
-
-// Submit appends each command to the queue: topic append (the accept),
-// WAL intent (the durable promise to run), table row, then ack. On a
-// mid-batch error the successfully appended prefix is returned with
-// the error — those jobs are accepted and will run.
+// Submit accepts a batch of commands whole or not at all: every command
+// is checked first, then one WAL append assigns the seqs and logs the
+// commands (its return is the durable accept), then the table rows
+// appear and the engine wakes. A failed append acks nothing and marks
+// the queue broken.
 func (q *queue) Submit(commands []string) ([]int, error) {
 	if len(commands) == 0 {
 		return nil, fmt.Errorf("jobd: empty submit")
 	}
+	for i, cmd := range commands {
+		if cmd == "" {
+			return nil, fmt.Errorf("jobd: empty command at index %d", i)
+		}
+	}
 	if err := q.usable(); err != nil {
 		return nil, err
 	}
-	seqs := make([]int, 0, len(commands))
-	for _, cmd := range commands {
-		if cmd == "" {
-			return seqs, fmt.Errorf("jobd: empty command")
-		}
-		tseq, err := q.topic.Append([]byte(cmd))
-		if err != nil {
-			q.fail(err)
-			return seqs, err
-		}
-		seq := int(tseq) + 1
-		if err := q.wal.AppendIntent(seq, wal.ArgsDigest([]string{cmd})); err != nil {
-			q.fail(err)
-			return seqs, err
-		}
-		now := time.Now()
-		q.mu.Lock()
-		e := q.ensureEntryLocked(seq)
-		e.submitted = now
-		if seq > q.submitted {
-			q.submitted = seq
-		}
-		q.mu.Unlock()
-		q.met.submitted.Inc()
-		seqs = append(seqs, seq)
+	first, err := q.wal.AppendSubmit(commands)
+	if err != nil {
+		q.fail(err)
+		return nil, err
 	}
+	now := time.Now()
+	seqs := make([]int, len(commands))
+	q.mu.Lock()
+	for i, cmd := range commands {
+		seqs[i] = first + i
+		q.jobs[first+i] = &jobEntry{cmd: cmd, submitted: now, done: make(chan struct{})}
+	}
+	q.counts[statePending] += len(commands)
+	// Concurrent submits can land their rows out of seq order; the
+	// engine reads only up to the first missing one.
+	for q.jobs[q.submitted+1] != nil {
+		q.submitted++
+	}
+	q.mu.Unlock()
+	select {
+	case q.wake <- struct{}{}:
+	default:
+	}
+	q.met.submitted.Add(int64(len(commands)))
 	return seqs, nil
 }
 
@@ -481,13 +411,21 @@ func (q *queue) Wait(ctx context.Context, seq int, timeout time.Duration) (JobSt
 
 // Cancel stops seq: a pending job becomes terminal immediately (the
 // engine will later skip it), a running job's context is cancelled. The
-// decision is persisted to the cancel log before it is acted on, so a
-// restart cannot resurrect a cancelled job.
+// cancel is logged and fsynced before it is acted on, so a restart
+// cannot resurrect a cancelled job.
+//
+// It is logged under q.mu, and that is what keeps the table and the log
+// in one order: a job's completion reaches the log only after its
+// finish event has settled the row under q.mu. A cancel logged while
+// the row is not terminal therefore precedes the completion, and counts
+// on replay too; a cancel that finds the row terminal is refused with
+// ErrAlreadyDone and never logged.
 func (q *queue) Cancel(seq int) (JobStatus, error) {
-	if err := q.usable(); err != nil {
+	q.mu.Lock()
+	if err := q.usableLocked(); err != nil {
+		q.mu.Unlock()
 		return JobStatus{}, err
 	}
-	q.mu.Lock()
 	e := q.jobs[seq]
 	if e == nil {
 		q.mu.Unlock()
@@ -498,30 +436,19 @@ func (q *queue) Cancel(seq int) (JobStatus, error) {
 		q.mu.Unlock()
 		return st, ErrAlreadyDone
 	}
-	already := e.cancelled
-	q.mu.Unlock()
-
-	if !already {
-		// Persist outside q.mu: the fsync must not stall submits.
-		if err := q.appendCancelLog(seq); err != nil {
+	if !e.cancelled {
+		if err := q.wal.AppendCancel(seq); err != nil {
+			q.mu.Unlock()
+			q.fail(err)
 			return JobStatus{}, err
 		}
+		e.cancelled = true
 	}
-
-	q.mu.Lock()
-	e = q.jobs[seq]
-	e.cancelled = true
-	q.cancelled[seq] = true
 	var kill context.CancelFunc
-	switch e.state {
-	case statePending:
-		q.counts[statePending]--
-		e.state = stateCancelled
-		q.counts[stateCancelled]++
-		e.ended = time.Now()
-		close(e.done)
+	if e.state == statePending {
+		q.settleLocked(e, stateCancelled, time.Now())
 		q.met.completed(stateCancelled)
-	case stateRunning:
+	} else {
 		kill = q.cancels[seq]
 	}
 	st := q.statusLocked(seq, e)
@@ -532,20 +459,22 @@ func (q *queue) Cancel(seq int) (JobStatus, error) {
 	return st, nil
 }
 
-func (q *queue) appendCancelLog(seq int) error {
-	q.cancelMu.Lock()
-	defer q.cancelMu.Unlock()
-	if _, err := fmt.Fprintf(q.cancelF, "%d\n", seq); err != nil {
-		return err
-	}
-	return q.cancelF.Sync()
+// settleLocked moves e to a terminal state, releasing its waiters and
+// its command.
+func (q *queue) settleLocked(e *jobEntry, state jobStateCode, at time.Time) {
+	q.counts[e.state]--
+	e.state = state
+	q.counts[state]++
+	e.ended = at
+	e.cmd = ""
+	close(e.done)
 }
 
-// isCancelled reports whether seq is in the cancel set.
+// isCancelled reports whether seq has been cancelled.
 func (q *queue) isCancelled(seq int) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.cancelled[seq]
+	return q.jobs[seq].cancelled
 }
 
 // armCancel installs the kill switch for a dispatched job. When the
@@ -554,7 +483,7 @@ func (q *queue) isCancelled(seq int) bool {
 func (q *queue) armCancel(ctx context.Context, seq int) (jctx context.Context, cancel context.CancelFunc, already bool, submitted time.Time) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	e := q.ensureEntryLocked(seq)
+	e := q.jobs[seq]
 	if e.cancelled {
 		return nil, nil, true, time.Time{}
 	}
@@ -576,8 +505,7 @@ func (q *queue) onEvent(ev core.Event) {
 	switch ev.Type {
 	case core.EventStarted:
 		q.mu.Lock()
-		e := q.ensureEntryLocked(ev.Seq)
-		if e.state == statePending {
+		if e := q.jobs[ev.Seq]; e.state == statePending {
 			q.counts[statePending]--
 			e.state = stateRunning
 			q.counts[stateRunning]++
@@ -586,27 +514,22 @@ func (q *queue) onEvent(ev core.Event) {
 		q.mu.Unlock()
 	case core.EventFinished, core.EventKilled:
 		q.mu.Lock()
-		e := q.ensureEntryLocked(ev.Seq)
+		e := q.jobs[ev.Seq]
 		if e.state.terminal() {
 			// Cancelled-while-pending: the runner's skip result arrives
 			// after Cancel already settled the row.
 			q.mu.Unlock()
 			return
 		}
-		q.counts[e.state]--
+		final := stateFailed
 		switch {
 		case e.cancelled:
-			e.state = stateCancelled
+			final = stateCancelled
 		case ev.OK:
-			e.state = stateOK
-		default:
-			e.state = stateFailed
+			final = stateOK
 		}
-		q.counts[e.state]++
 		e.exit = ev.ExitCode
-		e.ended = ev.Time
-		final := e.state
-		close(e.done)
+		q.settleLocked(e, final, ev.Time)
 		q.mu.Unlock()
 		q.met.completed(final)
 		if ev.DispatchDelay > 0 {
@@ -615,11 +538,13 @@ func (q *queue) onEvent(ev core.Event) {
 	}
 }
 
-// source yields the topic's messages in order as engine input,
-// long-polling at the tail. drain ends the generation gracefully; ctx
-// force-cancels it.
-func (q *queue) source(ctx context.Context, drain <-chan struct{}) args.Source {
-	var next int64
+// source yields the queue's jobs in seq order as engine input: an empty
+// record for each seq in resume, which the engine skips, and the
+// command from the job table for the rest, waiting at the tail for the
+// next submit. drain ends the generation gracefully; ctx force-cancels
+// it.
+func (q *queue) source(ctx context.Context, drain <-chan struct{}, resume map[int]bool) args.Source {
+	seq := 0
 	return args.SourceFunc(func() ([]string, error) {
 		for {
 			select {
@@ -629,16 +554,19 @@ func (q *queue) source(ctx context.Context, drain <-chan struct{}) args.Source {
 				return nil, io.EOF
 			default:
 			}
-			msg, err := q.topic.Read(next)
-			if err == nil {
-				next++
-				return []string{string(msg)}, nil
+			q.mu.Lock()
+			if seq < q.submitted {
+				seq++
+				cmd := q.jobs[seq].cmd
+				q.mu.Unlock()
+				if resume[seq] {
+					return nil, nil
+				}
+				return []string{cmd}, nil
 			}
-			if !errors.Is(err, mq.ErrOutOfRange) {
-				return nil, err
-			}
+			q.mu.Unlock()
 			select {
-			case <-q.topic.WaitFor(next):
+			case <-q.wake:
 			case <-ctx.Done():
 				return nil, io.EOF
 			case <-drain:
@@ -648,24 +576,22 @@ func (q *queue) source(ctx context.Context, drain <-chan struct{}) args.Source {
 	})
 }
 
-// jobTemplate renders each topic message (one raw command string) as
-// the job command verbatim.
+// jobTemplate renders each job's one raw command string as the job
+// command verbatim.
 var jobTemplate = tmpl.MustParse("{}")
 
-// startEngineLocked starts a new engine generation against the current
-// WAL state. Caller holds engMu. The service's resume rule differs
-// from one-shot --resume in one deliberate way: any recorded
-// completion — success or failure — is terminal (clients resubmit
-// failures; a restart must not surprise-rerun them). Cancelled seqs
-// are folded in so a cancel outlives the generation that observed it.
-func (q *queue) startEngineLocked(st *wal.State) error {
+// startEngineLocked starts a new engine generation over the job table.
+// Caller holds engMu. The service's resume rule differs from one-shot
+// --resume in one deliberate way: every terminal job — ok, failed or
+// cancelled — is skipped (clients resubmit failures; a restart must
+// not surprise-rerun them).
+func (q *queue) startEngineLocked() error {
 	q.mu.Lock()
-	resume := make(map[int]bool, len(st.Completed)+len(q.cancelled))
-	for seq := range st.Completed {
-		resume[seq] = true
-	}
-	for seq := range q.cancelled {
-		resume[seq] = true
+	resume := make(map[int]bool, len(q.jobs))
+	for seq, e := range q.jobs {
+		if e.state.terminal() {
+			resume[seq] = true
+		}
 	}
 	quota := q.cfg.Quota
 	q.mu.Unlock()
@@ -675,7 +601,6 @@ func (q *queue) startEngineLocked(st *wal.State) error {
 		Template:   jobTemplate,
 		Retries:    1,
 		WAL:        q.wal,
-		WALDigests: st.Digests,
 		ResumeFrom: resume,
 		OnEvent:    q.bus.Publish,
 	}
@@ -697,7 +622,7 @@ func (q *queue) startEngineLocked(st *wal.State) error {
 			// re-panics), but the black box hits the disk first.
 			defer flight.DumpOnPanic(rec, q.srv.cfg.FlightDir, q.srv.logf)
 		}
-		_, _, runErr := eng.Run(ctx, q.source(ctx, drain))
+		_, _, runErr := eng.Run(ctx, q.source(ctx, drain, resume))
 		if runErr != nil && ctx.Err() == nil && !errors.Is(runErr, context.Canceled) {
 			q.fail(runErr)
 		}
@@ -707,7 +632,7 @@ func (q *queue) startEngineLocked(st *wal.State) error {
 
 // setConfig persists a policy change. Weight applies to the next
 // grant; a quota change drains the current engine generation (running
-// jobs finish) and starts a new one resuming from the WAL snapshot.
+// jobs finish) and starts a new one over the remaining jobs.
 func (q *queue) setConfig(cfg QueueConfig) error {
 	q.engMu.Lock()
 	defer q.engMu.Unlock()
@@ -730,13 +655,8 @@ func (q *queue) setConfig(cfg QueueConfig) error {
 	if err := q.usable(); err != nil {
 		return err
 	}
-	st, err := q.wal.Snapshot()
-	if err != nil {
-		q.fail(err)
-		return err
-	}
 	q.srv.logf("jobd: queue %q quota %d -> %d (engine generation restarted)", q.name, old.Quota, cfg.Quota)
-	return q.startEngineLocked(st)
+	return q.startEngineLocked()
 }
 
 // beginStop closes the submit window and the engine's drain gate,

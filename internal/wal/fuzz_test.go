@@ -17,10 +17,13 @@ func validSegment(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	l.AppendSubmit([]string{"echo 1", "echo 2", "echo 3", "echo 4", "echo 5", "echo 6"})
+	l.AppendCancel(2)
 	for seq := 1; seq <= 5; seq++ {
 		l.AppendIntent(seq, ArgsDigest([]string{"in", "put"}))
 		l.AppendCompletion(seq, seq%2, 3*time.Millisecond, "worker-9")
 	}
+	l.AppendCancel(3) // after its completion: must not count
 	if err := l.Close(); err != nil {
 		tb.Fatal(err)
 	}
@@ -39,11 +42,11 @@ func validSegment(tb testing.TB) []byte {
 func FuzzReplaySegment(f *testing.F) {
 	seg := validSegment(f)
 	f.Add(seg)
-	f.Add(seg[:len(seg)-3])            // torn tail
-	f.Add(seg[:headerSize])            // header only
-	f.Add([]byte{})                    // empty file
+	f.Add(seg[:len(seg)-3])                   // torn tail
+	f.Add(seg[:headerSize])                   // header only
+	f.Add([]byte{})                           // empty file
 	f.Add([]byte("GOPARWAL\x01\x00\x00\x00")) // bare header
-	f.Add([]byte("NOTAWAL!"))          // bad magic
+	f.Add([]byte("NOTAWAL!"))                 // bad magic
 	flipped := append([]byte{}, seg...)
 	if len(flipped) > headerSize+10 {
 		flipped[headerSize+9] ^= 0x40 // corrupt a payload byte under its CRC
@@ -54,6 +57,11 @@ func FuzzReplaySegment(f *testing.F) {
 	hostile = binary.LittleEndian.AppendUint32(hostile, 0xffffffff)
 	hostile = binary.LittleEndian.AppendUint32(hostile, 0)
 	f.Add(hostile)
+	// CRC-valid submit whose command length overruns its payload, and a
+	// CRC-valid cancel of seq 0.
+	lying := append(appendUvarint([]byte{recSubmit, 1}, 1000), "abc"...)
+	f.Add(appendFrame(append([]byte{}, seg[:headerSize]...), lying))
+	f.Add(appendFrame(append([]byte{}, seg[:headerSize]...), []byte{recCancel, 0}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -81,9 +89,11 @@ func FuzzReplaySegment(f *testing.F) {
 		if err != nil {
 			t.Fatalf("open on corrupt dir: %v", err)
 		}
-		if len(st2.Completed) != len(st.Completed) || len(st2.InFlight) != len(st.InFlight) {
-			t.Fatalf("open state %d/%d != replay state %d/%d",
-				len(st2.Completed), len(st2.InFlight), len(st.Completed), len(st.InFlight))
+		if len(st2.Completed) != len(st.Completed) || len(st2.InFlight) != len(st.InFlight) ||
+			len(st2.Pending) != len(st.Pending) || len(st2.Cancelled) != len(st.Cancelled) {
+			t.Fatalf("open state %d/%d/%d/%d != replay state %d/%d/%d/%d",
+				len(st2.Completed), len(st2.InFlight), len(st2.Pending), len(st2.Cancelled),
+				len(st.Completed), len(st.InFlight), len(st.Pending), len(st.Cancelled))
 		}
 		const probe = 1 << 30 // far outside any fuzzed seq range
 		if err := l.AppendIntent(probe, 77); err != nil {

@@ -9,17 +9,25 @@
 //
 //	[u32le payload length][u32le CRC32C(payload)][payload]
 //
-// Four record types exist (first payload byte):
+// Six record types exist (first payload byte):
 //
 //   - intent ('I'): appended before a job is handed to an execution
 //     slot or dist worker. Carries the job's seq and a 64-bit digest of
 //     its input arguments, so a resumed run can reject a changed input
 //     set instead of silently skipping the wrong jobs.
+//   - submit ('S'): a job service's accepted command (seq, command).
+//     Replay treats it as an intent with digest ArgsDigest([cmd]) and
+//     keeps the command until the seq has a completion, so the log
+//     alone says what is left to run.
+//   - cancel ('X'): a job service's cancel of seq. It counts only if
+//     the seq has no completion at that point in the log.
 //   - completion ('C'): appended as the collector receives the job's
 //     result. Carries seq, exit status, runtime and host.
-//   - checkpoint ('K'): a full snapshot of the replay state, written at
-//     the head of each new segment on rotation so older segments can be
-//     deleted (compaction) without losing resume information.
+//   - checkpoint ('K'): a snapshot of the completed and in-flight sets,
+//     written at the head of each new segment on rotation so older
+//     segments can be deleted (compaction) without losing resume
+//     information. Pending commands and cancels are carried as S and X
+//     frames written just before it.
 //   - batch ('B'): a concatenation of intent and completion payloads
 //     sharing one frame and one CRC, written by the group-commit
 //     flusher so the per-record framing overhead (8 bytes and a
@@ -41,6 +49,7 @@ import (
 	"hash/crc32"
 	"math"
 	"time"
+	"unsafe"
 )
 
 // Record type tags (first payload byte).
@@ -49,6 +58,8 @@ const (
 	recCompletion = 'C'
 	recCheckpoint = 'K'
 	recBatch      = 'B'
+	recSubmit     = 'S'
+	recCancel     = 'X'
 )
 
 // Segment framing constants.
@@ -135,6 +146,19 @@ func appendCompletionPayloadUS(dst []byte, seq, exit int, us int64, host string)
 	return dst
 }
 
+// appendSubmitPayload encodes a submit record payload.
+func appendSubmitPayload(dst []byte, seq int, cmd string) []byte {
+	dst = append(dst, recSubmit)
+	dst = appendUvarint(dst, uint64(seq))
+	dst = appendUvarint(dst, uint64(len(cmd)))
+	return append(dst, cmd...)
+}
+
+// appendCancelPayload encodes a cancel record payload.
+func appendCancelPayload(dst []byte, seq int) []byte {
+	return appendUvarint(append(dst, recCancel), uint64(seq))
+}
+
 // appendFrame wraps a payload in the on-disk frame: length, CRC32C,
 // payload.
 func appendFrame(dst, payload []byte) []byte {
@@ -190,6 +214,18 @@ func (r *payloadReader) bytes(n uint64) ([]byte, error) {
 // but hand-crafted payload must not make replay allocate absurd maps.
 func seqInRange(v uint64) bool { return v >= 1 && v <= math.MaxInt32 }
 
+// seq reads a record's seq field, rejecting values seqInRange refuses.
+func (r *payloadReader) seq(kind string) (int, error) {
+	v, err := r.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if !seqInRange(v) {
+		return 0, fmt.Errorf("wal: %s seq %d out of range", kind, v)
+	}
+	return int(v), nil
+}
+
 // apply folds one record payload into the state. An error means the
 // payload is structurally invalid despite a matching CRC — the replayer
 // treats that exactly like a torn tail.
@@ -204,6 +240,41 @@ func (st *State) apply(payload []byte) error {
 
 	case recCompletion:
 		return st.applyCompletion(r)
+
+	case recSubmit:
+		seq, err := r.seq("submit")
+		if err != nil {
+			return err
+		}
+		n, err := r.uvarint()
+		if err != nil {
+			return err
+		}
+		b, err := r.bytes(n)
+		if err != nil {
+			return err
+		}
+		// The command aliases the segment buffer, which replay never
+		// writes to; replayDir copies the commands still pending once
+		// every segment is scanned, so a restart allocates one string
+		// per unfinished job rather than one per job ever submitted.
+		var cmd string
+		if len(b) > 0 {
+			cmd = unsafe.String(&b[0], len(b))
+		}
+		if st.intent(seq, ArgsDigest([]string{cmd})) {
+			st.Pending[seq] = cmd
+		}
+
+	case recCancel:
+		seq, err := r.seq("cancel")
+		if err != nil {
+			return err
+		}
+		if _, done := st.Completed[seq]; !done {
+			st.Cancelled[seq] = true
+		}
+		st.Records++
 
 	case recBatch:
 		// A batch is a concatenation of self-delimiting intent and
@@ -301,35 +372,36 @@ func (st *State) apply(payload []byte) error {
 // applyIntent parses one intent payload body (type byte already
 // consumed) and folds it into the state.
 func (st *State) applyIntent(r *payloadReader) error {
-	seqU, err := r.uvarint()
+	seq, err := r.seq("intent")
 	if err != nil {
 		return err
-	}
-	if !seqInRange(seqU) {
-		return fmt.Errorf("wal: intent seq %d out of range", seqU)
 	}
 	digest, err := r.u64()
 	if err != nil {
 		return err
 	}
-	seq := int(seqU)
-	st.Digests[seq] = digest
-	if _, done := st.Completed[seq]; !done {
-		st.InFlight[seq] = true
-	}
-	st.Records++
+	st.intent(seq, digest)
 	return nil
+}
+
+// intent folds an intent (or the intent half of a submit) into the
+// state and reports whether seq is still without a completion.
+func (st *State) intent(seq int, digest uint64) bool {
+	st.Digests[seq] = digest
+	st.Records++
+	if _, done := st.Completed[seq]; done {
+		return false
+	}
+	st.InFlight[seq] = true
+	return true
 }
 
 // applyCompletion parses one completion payload body (type byte
 // already consumed) and folds it into the state.
 func (st *State) applyCompletion(r *payloadReader) error {
-	seqU, err := r.uvarint()
+	seq, err := r.seq("completion")
 	if err != nil {
 		return err
-	}
-	if !seqInRange(seqU) {
-		return fmt.Errorf("wal: completion seq %d out of range", seqU)
 	}
 	exit, err := r.zigzag()
 	if err != nil {
@@ -345,11 +417,11 @@ func (st *State) applyCompletion(r *payloadReader) error {
 	if _, err := r.bytes(hostLen); err != nil {
 		return err
 	}
-	seq := int(seqU)
 	// Last completion wins: a resumed run's fresh outcome supersedes
 	// the crashed run's record for the same seq.
 	st.Completed[seq] = int(exit)
 	delete(st.InFlight, seq)
+	delete(st.Pending, seq)
 	st.Records++
 	return nil
 }

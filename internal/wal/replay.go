@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 )
 
 // State is the replayed view of a run log: what a resumed run needs to
@@ -23,9 +24,15 @@ type State struct {
 	// Digests maps seq → the args digest recorded at intent time, used
 	// to reject resumes whose input set changed out from under the log.
 	Digests map[int]uint64
-	// Records counts logical records (intents, completions,
-	// checkpoints) successfully replayed; records inside a batch frame
-	// count individually.
+	// Pending maps seq → command for every submit record whose seq has
+	// no completion: a job service's work still to run.
+	Pending map[int]string
+	// Cancelled holds seqs whose cancel record came before any
+	// completion of the seq.
+	Cancelled map[int]bool
+	// Records counts logical records (intents, completions, submits,
+	// cancels, checkpoints) successfully replayed; records inside a
+	// batch frame count individually.
 	Records int
 	// TornTails counts segments whose tail was cut at the first
 	// short/CRC-broken/undecodable record — the expected wound of a
@@ -40,7 +47,23 @@ func newState() *State {
 		Completed: map[int]int{},
 		InFlight:  map[int]bool{},
 		Digests:   map[int]uint64{},
+		Pending:   map[int]string{},
+		Cancelled: map[int]bool{},
 	}
+}
+
+// LastSeq returns the highest seq an intent, submit or completion
+// names, 0 for an empty log. A job service assigns seqs densely, so for
+// its log this is the number of jobs ever accepted.
+func (st *State) LastSeq() int {
+	last := 0
+	for seq := range st.Completed {
+		last = max(last, seq)
+	}
+	for seq := range st.InFlight {
+		last = max(last, seq)
+	}
+	return last
 }
 
 // CompletedOK returns the seqs whose latest completion has exit status
@@ -53,29 +76,6 @@ func (st *State) CompletedOK() map[int]bool {
 		}
 	}
 	return done
-}
-
-// clone deep-copies the state so the Log's live copy and the caller's
-// resume snapshot cannot alias.
-func (st *State) clone() *State {
-	c := &State{
-		Completed: make(map[int]int, len(st.Completed)),
-		InFlight:  make(map[int]bool, len(st.InFlight)),
-		Digests:   make(map[int]uint64, len(st.Digests)),
-		Records:   st.Records,
-		TornTails: st.TornTails,
-		Segments:  st.Segments,
-	}
-	for k, v := range st.Completed {
-		c.Completed[k] = v
-	}
-	for k, v := range st.InFlight {
-		c.InFlight[k] = v
-	}
-	for k, v := range st.Digests {
-		c.Digests[k] = v
-	}
-	return c
 }
 
 // segment is one scanned segment file.
@@ -186,6 +186,13 @@ func replayDir(dir string) (*State, []segment, error) {
 			return nil, nil, err
 		}
 	}
+	// Copy the commands out of the segment buffers, into a map sized for
+	// what is still pending rather than for the deepest backlog replayed.
+	pending := make(map[int]string, len(st.Pending))
+	for seq, cmd := range st.Pending {
+		pending[seq] = strings.Clone(cmd)
+	}
+	st.Pending = pending
 	return st, segs, nil
 }
 

@@ -7,8 +7,8 @@ import "time"
 // debug endpoints). All fields are observational; none participate in
 // replay or durability decisions.
 type Stats struct {
-	// Appended counts records accepted by AppendIntent/AppendCompletion
-	// since Open, whether or not they have reached the disk yet.
+	// Appended counts records accepted by the Append methods since
+	// Open, whether or not they have reached the disk yet.
 	Appended int64
 	// Syncs counts completed fsyncs.
 	Syncs int64

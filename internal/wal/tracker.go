@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"maps"
 	"math"
 	"sort"
 )
@@ -19,6 +20,11 @@ import (
 type tracker struct {
 	seqs []seqState // indexed by seq; entry 0 unused
 	over *State     // lazily allocated; holds seqs >= trackDense
+
+	// A job service's pending commands and counted cancels, carried
+	// into each new segment on rotation. Empty on the local path.
+	cmds    map[int]string
+	cancels map[int]bool
 }
 
 // seqState is the per-seq record: digest from the last intent, exit
@@ -57,7 +63,7 @@ func clampExit(exit int) int32 {
 // newTracker builds a tracker from a replayed State (the state of the
 // segments already on disk when the log was opened).
 func newTracker(st *State) *tracker {
-	t := &tracker{}
+	t := &tracker{cmds: maps.Clone(st.Pending), cancels: maps.Clone(st.Cancelled)}
 	for seq, exit := range st.Completed {
 		t.completion(seq, exit)
 	}
@@ -129,6 +135,7 @@ func (t *tracker) intent(seq int, digest uint64) {
 // completion folds a completion record into the state. Last completion
 // wins, matching replay.
 func (t *tracker) completion(seq, exit int) {
+	delete(t.cmds, seq)
 	if t.ensure(seq) {
 		t.seqs[seq].flags |= fDone
 		t.seqs[seq].exit = clampExit(exit)
@@ -138,37 +145,25 @@ func (t *tracker) completion(seq, exit int) {
 	delete(t.over.InFlight, seq)
 }
 
-// snapshotState materializes the tracker back into the map form resume
-// decisions consume (Log.Snapshot). Dense entries iterate in seq order;
-// the overflow maps copy over verbatim.
-func (t *tracker) snapshotState() *State {
-	st := newState()
-	for seq := 1; seq < len(t.seqs); seq++ {
-		s := t.seqs[seq]
-		if s.flags == 0 {
-			continue
-		}
-		if s.flags&fIntent != 0 {
-			st.Digests[seq] = s.digest
-		}
-		if s.flags&fDone != 0 {
-			st.Completed[seq] = int(s.exit)
-		} else if s.flags&fIntent != 0 {
-			st.InFlight[seq] = true
-		}
+// submit folds a submit record: an intent with the command's digest,
+// the command kept until the seq completes.
+func (t *tracker) submit(seq int, cmd string) {
+	t.intent(seq, ArgsDigest([]string{cmd}))
+	t.cmds[seq] = cmd
+}
+
+// cancel folds a cancel record, which counts only while the seq has no
+// completion.
+func (t *tracker) cancel(seq int) {
+	if seq < len(t.seqs) && t.seqs[seq].flags&fDone != 0 {
+		return
 	}
 	if t.over != nil {
-		for seq, exit := range t.over.Completed {
-			st.Completed[seq] = exit
-		}
-		for seq := range t.over.InFlight {
-			st.InFlight[seq] = true
-		}
-		for seq, d := range t.over.Digests {
-			st.Digests[seq] = d
+		if _, done := t.over.Completed[seq]; done {
+			return
 		}
 	}
-	return st
+	t.cancels[seq] = true
 }
 
 // estCheckpointBytes upper-bounds the encoded size of a checkpoint of

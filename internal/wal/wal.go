@@ -65,8 +65,10 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 const (
 	PointAppendIntent     = "wal.append.intent"
 	PointAppendCompletion = "wal.append.completion"
-	PointSyncPre          = "wal.sync.pre"        // before the buffer flush
-	PointSyncMid          = "wal.sync.mid"        // flushed, before fsync
+	PointAppendSubmit     = "wal.append.submit"
+	PointAppendCancel     = "wal.append.cancel"
+	PointSyncPre          = "wal.sync.pre"          // before the buffer flush
+	PointSyncMid          = "wal.sync.mid"          // flushed, before fsync
 	PointRotateCheckpoint = "wal.rotate.checkpoint" // new segment created, checkpoint not yet written
 	PointRotateDelete     = "wal.rotate.delete"     // checkpoint durable, old segments not yet deleted
 )
@@ -125,22 +127,27 @@ func (o *Options) withDefaults() Options {
 // on a crash, whether they waited in a write buffer or a staging slice.
 // The price is lazy error reporting: a write failure surfaces on a
 // later append, Sync or Close rather than the append that caused it.
+//
+// Submits and cancels (a job service's records) never stage: they are
+// written through under the lock because their return is an ack. The
+// group-commit fsync runs outside the lock so they never wait for it.
 type Log struct {
 	dir string
 	opt Options
 
-	mu      sync.Mutex
-	f       *os.File
-	w       *bufio.Writer
+	mu       sync.Mutex
+	f        *os.File
+	w        *bufio.Writer
 	segIdx   int
 	segSize  int64
-	ckptSize int64 // framed size of this segment's head checkpoint, if any
-	dirty   bool
-	err     error // sticky: first write/sync failure or ErrCrashed
-	closed  bool
-	scratch []byte // payload encode buffer, reused across appends
-	frame   []byte // frame encode buffer, reused across appends
-	batch   []byte // drain batch encode buffer, reused across drains
+	ckptSize int64 // framed size of this segment's rotation head (carried frames + checkpoint), if any
+	dirty    bool
+	err      error // sticky: first write/sync failure or ErrCrashed
+	closed   bool
+	scratch  []byte // payload encode buffer, reused across appends
+	frame    []byte // frame encode buffer, reused across appends
+	batch    []byte // drain batch encode buffer, reused across drains
+	lastSeq  int    // highest seq replayed or submitted; AppendSubmit continues from it
 
 	st *tracker // live replay-equivalent state, feeds rotation checkpoints
 
@@ -234,7 +241,7 @@ func Open(dir string, opt Options) (*Log, *State, error) {
 		return nil, nil, err
 	}
 
-	l := &Log{dir: dir, opt: o, st: newTracker(st)}
+	l := &Log{dir: dir, opt: o, st: newTracker(st), lastSeq: st.LastSeq()}
 	if len(segs) == 0 {
 		if err := l.createSegment(1); err != nil {
 			return nil, nil, err
@@ -272,7 +279,7 @@ func Open(dir string, opt Options) (*Log, *State, error) {
 		l.flushDone = make(chan struct{})
 		go l.flushLoop()
 	}
-	return l, st.clone(), nil
+	return l, st, nil // the tracker copied what it keeps: st is the caller's
 }
 
 func writeHeader(f *os.File) error {
@@ -358,6 +365,74 @@ func (l *Log) AppendCompletion(seq, exit int, runtime time.Duration, host string
 	return l.commitLocked()
 }
 
+// AppendSubmit assigns the next len(cmds) seqs, densely, to a job
+// service's accepted commands and logs a submit record for each; first
+// is the seq of cmds[0]. The records reach the segment file before it
+// returns, so they survive a process kill, and under SyncAlways the
+// disk, with one fsync for the whole batch. The return is the ack.
+func (l *Log) AppendSubmit(cmds []string) (first int, err error) {
+	l.nAppended.Add(int64(len(cmds)))
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.checkLocked(PointAppendSubmit); err != nil {
+		return 0, err
+	}
+	first = l.lastSeq + 1
+	for i, cmd := range cmds {
+		l.scratch = appendSubmitPayload(l.scratch[:0], first+i, cmd)
+		if err := l.writeLocked(l.scratch); err != nil {
+			return 0, err
+		}
+		l.st.submit(first+i, cmd)
+	}
+	l.lastSeq += len(cmds)
+	if err := l.writeThroughLocked(l.opt.Sync == SyncAlways); err != nil {
+		return 0, err
+	}
+	return first, nil
+}
+
+// AppendCancel logs a job service's cancel of seq and fsyncs it before
+// returning, whatever the policy. Replay counts it only if seq has no
+// completion earlier in the log, so it drains the staged records
+// first: a completion appended before the call precedes the cancel.
+func (l *Log) AppendCancel(seq int) error {
+	l.nAppended.Add(1)
+	if err := l.drainStaged(); err != nil {
+		return err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.checkLocked(PointAppendCancel); err != nil {
+		return err
+	}
+	l.scratch = appendCancelPayload(l.scratch[:0], seq)
+	if err := l.writeLocked(l.scratch); err != nil {
+		return err
+	}
+	l.st.cancel(seq)
+	return l.writeThroughLocked(true)
+}
+
+// writeThroughLocked ends a submit or cancel append: the records reach
+// the file, and with sync the disk. It rotates a full segment only when
+// no flusher is running, because the flusher fsyncs outside the lock
+// and must not find its file closed under it; the flusher rotates
+// instead.
+func (l *Log) writeThroughLocked(sync bool) error {
+	if !l.async && l.rotateDueLocked() {
+		return l.rotateLocked()
+	}
+	if sync {
+		return l.syncLocked()
+	}
+	if err := l.w.Flush(); err != nil {
+		l.setErrLocked(err)
+		return err
+	}
+	return nil
+}
+
 func (l *Log) writeIntentLocked(seq int, digest uint64) error {
 	l.scratch = appendIntentPayload(l.scratch[:0], seq, digest)
 	if err := l.writeLocked(l.scratch); err != nil {
@@ -392,15 +467,35 @@ func (l *Log) drainStaged() error {
 	l.spareIntents, l.spareCompls = ib, cb
 
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	f, err := l.writeStagedLocked(ib, cb)
+	l.mu.Unlock()
+	if f == nil || err != nil {
+		return err
+	}
+	// The group-commit fsync runs outside mu so that submits and cancels
+	// never wait behind it. Holding flushMu keeps f open meanwhile: only
+	// rotation, which runs inside this function, and Close close it.
+	if err := l.fsync(f); err != nil {
+		l.mu.Lock()
+		l.setErrLocked(err)
+		l.mu.Unlock()
+		return err
+	}
+	return nil
+}
+
+// writeStagedLocked writes the drained records and anything a submit
+// left unsynced, rotating a full segment. It returns the file the
+// caller must fsync, or nil when the policy needs none.
+func (l *Log) writeStagedLocked(ib, cb []stagedRec) (*os.File, error) {
 	if l.err != nil {
-		return l.err
+		return nil, l.err
 	}
 	if l.closed {
-		return errClosed
+		return nil, errClosed
 	}
-	if len(ib)+len(cb) == 0 {
-		return nil
+	if len(ib)+len(cb) == 0 && !l.dirty {
+		return nil, nil
 	}
 	// Encode the whole commit as batch records — intent and completion
 	// payloads concatenated under a shared frame and CRC — so the
@@ -428,7 +523,7 @@ func (l *Log) drainStaged() error {
 		l.st.intent(int(ib[i].seq), ib[i].digest)
 		if len(buf) >= batchCap {
 			if err := flushBatch(); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
@@ -437,28 +532,29 @@ func (l *Log) drainStaged() error {
 		l.st.completion(int(cb[i].seq), int(cb[i].exit))
 		if len(buf) >= batchCap {
 			if err := flushBatch(); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
 	err := flushBatch()
 	l.batch = buf[:0]
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if l.rotateDueLocked() {
-		return l.rotateLocked()
+		return nil, l.rotateLocked()
 	}
-	if l.opt.Sync == SyncInterval {
-		return l.syncLocked()
-	}
-	// SyncNever: push bytes to the kernel (they survive a process
-	// kill) but skip the disk barrier.
+	// Push the bytes to the kernel (they survive a process kill);
+	// SyncInterval then adds the disk barrier, SyncNever skips it.
 	if err := l.w.Flush(); err != nil {
 		l.setErrLocked(err)
-		return err
+		return nil, err
 	}
-	return nil
+	l.dirty = false
+	if l.opt.Sync != SyncInterval {
+		return nil, nil
+	}
+	return l.f, nil
 }
 
 // setErrLocked records the first failure, mirrored into errp so the
@@ -558,18 +654,26 @@ func (l *Log) syncLocked() error {
 		// happened) but models dying before the disk barrier.
 		return ErrCrashed
 	}
+	if err := l.fsync(l.f); err != nil {
+		l.setErrLocked(err)
+		return err
+	}
+	l.dirty = false
+	return nil
+}
+
+// fsync is the disk barrier, observed and counted.
+func (l *Log) fsync(f *os.File) error {
 	var start time.Time
 	if l.opt.FsyncObserver != nil {
 		start = time.Now()
 	}
-	if err := l.f.Sync(); err != nil {
-		l.setErrLocked(err)
+	if err := f.Sync(); err != nil {
 		return err
 	}
 	if l.opt.FsyncObserver != nil {
 		l.opt.FsyncObserver(time.Since(start))
 	}
-	l.dirty = false
 	l.nSyncs.Add(1)
 	l.lastSyncNS.Store(time.Now().UnixNano())
 	return nil
@@ -596,6 +700,21 @@ func (l *Log) rotateLocked() error {
 	if l.hitLocked(PointRotateCheckpoint) {
 		return ErrCrashed
 	}
+	// Carry the pending submits and the cancels ahead of the checkpoint.
+	// A cancel must precede the checkpoint's completions: replay ignores
+	// a cancel that follows its seq's completion.
+	for seq, cmd := range l.st.cmds {
+		l.scratch = appendSubmitPayload(l.scratch[:0], seq, cmd)
+		if err := l.writeLocked(l.scratch); err != nil {
+			return err
+		}
+	}
+	for seq := range l.st.cancels {
+		l.scratch = appendCancelPayload(l.scratch[:0], seq)
+		if err := l.writeLocked(l.scratch); err != nil {
+			return err
+		}
+	}
 	l.scratch = l.st.appendCheckpointPayload(l.scratch[:0])
 	if len(l.scratch) > maxRecord {
 		// The snapshot outgrew the largest legal frame (possible only
@@ -608,7 +727,7 @@ func (l *Log) rotateLocked() error {
 	if err := l.writeLocked(l.scratch); err != nil {
 		return err
 	}
-	l.ckptSize = int64(frameSize + len(l.scratch))
+	l.ckptSize = l.segSize - int64(headerSize)
 	if err := l.syncLocked(); err != nil {
 		return err
 	}
@@ -653,29 +772,6 @@ func (l *Log) flushLoop() {
 	}
 }
 
-// Snapshot drains anything staged and returns the log's current
-// replay-equivalent state: exactly what Replay would reconstruct if the
-// process died after the appends that precede this call. It is how a
-// long-lived owner (a job-service queue) restarts an embedded engine
-// run against the same log without closing and reopening it — the
-// returned state feeds Spec.ResumeFrom/WALDigests for the next
-// generation. The snapshot does not alias live state; Records,
-// TornTails and Segments are replay-time facts and stay zero.
-func (l *Log) Snapshot() (*State, error) {
-	if err := l.drainStaged(); err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		return nil, l.err
-	}
-	if l.closed {
-		return nil, errClosed
-	}
-	return l.st.snapshotState(), nil
-}
-
 // Sync drains anything staged and forces a flush + fsync now,
 // regardless of policy. Appends that completed before Sync was called
 // are durable when it returns.
@@ -706,7 +802,9 @@ func (l *Log) Close() error {
 			<-l.flushDone
 		}
 	}
-	l.drainStaged() // flusher stopped: final drain (errors go sticky)
+	l.drainStaged()  // flusher stopped: final drain (errors go sticky)
+	l.flushMu.Lock() // a concurrent Sync's drain may still be fsyncing f
+	defer l.flushMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
