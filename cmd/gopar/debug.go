@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"repro/internal/flight"
-	"repro/internal/profile"
+	"repro/internal/span"
 )
 
 // runDebug implements `gopar debug`: fetch a flight-recorder dump from
@@ -57,18 +57,8 @@ func runDebug(argv []string) int {
 	}
 
 	if *traceTo != "" {
-		f, cerr := os.Create(*traceTo)
-		if cerr != nil {
-			fmt.Fprintln(os.Stderr, "gopar debug:", cerr)
-			return 2
-		}
-		if terr := profile.FlightTrace(f, d); terr != nil {
-			f.Close()
+		if terr := createFile(*traceTo, func(w io.Writer) error { return span.WriteDumpTrace(w, d) }); terr != nil {
 			fmt.Fprintln(os.Stderr, "gopar debug:", terr)
-			return 2
-		}
-		if cerr := f.Close(); cerr != nil {
-			fmt.Fprintln(os.Stderr, "gopar debug:", cerr)
 			return 2
 		}
 		fmt.Fprintf(os.Stderr, "gopar debug: trace written to %s (%d records)\n", *traceTo, len(d.Records))

@@ -423,16 +423,37 @@ func TestCLIEventsAndTraceStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var slices []map[string]any
-	if err := json.Unmarshal(traceData, &slices); err != nil {
+	var records []map[string]any
+	if err := json.Unmarshal(traceData, &records); err != nil {
 		t.Fatalf("trace not valid JSON: %v\n%s", err, traceData)
 	}
+	var slices, phases []map[string]any
+	for _, r := range records {
+		switch r["cat"] {
+		case "job":
+			slices = append(slices, r)
+		case "phase":
+			phases = append(phases, r)
+		}
+	}
 	if len(slices) != 2 {
-		t.Fatalf("trace slices = %d, want 2", len(slices))
+		t.Fatalf("trace job slices = %d, want 2", len(slices))
 	}
 	for _, s := range slices {
 		if s["ph"] != "X" || !strings.HasPrefix(s["name"].(string), "echo ") {
 			t.Fatalf("slice = %v", s)
+		}
+		// Each job slice nests at least one phase slice on its lane.
+		ts, end := s["ts"].(float64), s["ts"].(float64)+s["dur"].(float64)
+		inside := 0
+		for _, p := range phases {
+			pts := p["ts"].(float64)
+			if p["tid"] == s["tid"] && pts >= ts && pts+p["dur"].(float64) <= end {
+				inside++
+			}
+		}
+		if inside == 0 {
+			t.Fatalf("job slice %v has no phase slice inside it (phases %v)", s, phases)
 		}
 	}
 }
@@ -610,6 +631,48 @@ func TestCLIReportFromRunSpans(t *testing.T) {
 	}
 	if err := json.Unmarshal(td, &slices); err != nil || len(slices) == 0 {
 		t.Fatalf("span trace invalid (%v) or empty:\n%s", err, td)
+	}
+}
+
+func TestCLIReportJoblogSlots(t *testing.T) {
+	// A joblog records no slots: report must rebuild them, so an 8-job
+	// -j 4 run reports 4 slots and a critical path that fits inside the
+	// makespan, plus the parallel profile.
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, "run.log")
+	items := []string{":::", "1", "2", "3", "4", "5", "6", "7", "8"}
+	if _, _, exit := gopar(t, "", append([]string{"-quiet", "-j", "4", "--joblog", logPath,
+		"sleep 0.2"}, items...)...); exit != 0 {
+		t.Fatalf("run exit = %d", exit)
+	}
+	out, stderr, exit := gopar(t, "", "report", "--joblog", logPath, "--json", "-")
+	if exit != 0 {
+		t.Fatalf("report exit = %d, stderr:\n%s", exit, stderr)
+	}
+	var rep struct {
+		Jobs            int     `json:"jobs"`
+		Slots           int     `json:"slots"`
+		MakespanS       float64 `json:"makespan_s"`
+		RecommendedJobs int     `json:"recommended_jobs"`
+		Utilization     []any   `json:"utilization"`
+		CriticalPath    struct {
+			ExecS float64 `json:"exec_s"`
+		} `json:"critical_path"`
+	}
+	if err := json.Unmarshal([]byte(out), &rep); err != nil {
+		t.Fatalf("report JSON invalid: %v\n%s", err, out)
+	}
+	if rep.Jobs != 8 || rep.Slots != 4 {
+		t.Fatalf("jobs/slots = %d/%d, want 8/4", rep.Jobs, rep.Slots)
+	}
+	if len(rep.Utilization) == 0 {
+		t.Fatal("no utilization timeline")
+	}
+	if rep.CriticalPath.ExecS > rep.MakespanS {
+		t.Fatalf("critical path exec %.3fs > makespan %.3fs", rep.CriticalPath.ExecS, rep.MakespanS)
+	}
+	if rep.RecommendedJobs < 1 {
+		t.Fatalf("recommended_jobs = %d", rep.RecommendedJobs)
 	}
 }
 

@@ -36,7 +36,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/flight"
 	"repro/internal/gpu"
-	"repro/internal/profile"
 	"repro/internal/span"
 	"repro/internal/telemetry"
 	"repro/internal/wal"
@@ -421,27 +420,32 @@ func run() int {
 			consumers = append(consumers, sink.Consume)
 			closers = append(closers, syncClose(f))
 		}
-		if *spans != "" {
-			f, cerr := os.Create(*spans)
+		// --spans and --trace are two sinks of one span Recorder.
+		var sinks []span.Sink
+		var files []func() error
+		for _, path := range []string{*spans, *trace} {
+			if path == "" {
+				continue
+			}
+			f, cerr := os.Create(path)
 			if cerr != nil {
 				fmt.Fprintln(os.Stderr, "gopar:", cerr)
 				return 2
 			}
-			rec := span.NewRecorder(f, false)
-			consumers = append(consumers, rec.Consume)
-			// rec.Close flushes in-flight spans as incomplete records, so
-			// an interrupted (SIGINT/SIGTERM) run's span file still parses.
-			closers = append(closers, rec.Close, syncClose(f))
+			if path == *trace {
+				sinks = append(sinks, span.NewTraceWriter(f))
+			} else {
+				sinks = append(sinks, span.NewJSONLWriter(f))
+			}
+			files = append(files, syncClose(f))
 		}
-		if *trace != "" {
-			f, cerr := os.Create(*trace)
-			if cerr != nil {
-				fmt.Fprintln(os.Stderr, "gopar:", cerr)
-				return 2
-			}
-			lt := profile.NewLiveTrace(f)
-			consumers = append(consumers, lt.Consume)
-			closers = append(closers, lt.Close, syncClose(f))
+		if len(sinks) > 0 {
+			spanRec := span.NewRecorder(sinks...)
+			consumers = append(consumers, spanRec.Consume)
+			// spanRec.Close flushes in-flight spans as incomplete records
+			// (open trace slices), so an interrupted (SIGINT/SIGTERM) run's
+			// span file still parses and its trace still loads.
+			closers = append(append(closers, spanRec.Close), files...)
 		}
 		var pumpDone sync.WaitGroup
 		if len(consumers) > 0 {

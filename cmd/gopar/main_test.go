@@ -2,11 +2,13 @@ package main
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/args"
 	"repro/internal/core"
+	"repro/internal/span"
 )
 
 func collect(t *testing.T, s args.Source) [][]string {
@@ -138,5 +140,26 @@ func TestParseBackoff(t *testing.T) {
 		if c.ok && got != c.want {
 			t.Errorf("parseBackoff(%q) = %+v, want %+v", c.in, got, c.want)
 		}
+	}
+}
+
+func TestRenderAndSparkline(t *testing.T) {
+	if got := sparkline([]span.UtilPoint{{Busy: 0}, {Busy: 1}, {Busy: 0.5}, {Busy: 2}}); got != "▁█▅█" {
+		t.Fatalf("sparkline = %q", got)
+	}
+	a := span.Analyze(span.FromJoblog([]core.JoblogEntry{
+		{Seq: 1, Start: 0, Runtime: 4}, {Seq: 2, Start: 0, Runtime: 2}, {Seq: 3, Start: 2, Runtime: 2},
+	}))
+	var b strings.Builder
+	printReport(&b, reportDoc{Analysis: a, Source: "joblog:test"}, false)
+	out := b.String()
+	for _, want := range []string{"Run summary", "Parallel profile", "effective_parallelism",
+		"recommended_jobs", "2.128 ms dispatch", "slot utilization: mean 100.0%"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("report missing %q:\n%s", want, out)
+		}
+	}
+	if !strings.Contains(out, "utilization "+strings.Repeat("█", len(a.Utilization))) {
+		t.Fatalf("sparkline of a fully busy run missing:\n%s", out)
 	}
 }

@@ -9,9 +9,9 @@ import (
 	"os"
 	"sort"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/profile"
 	"repro/internal/span"
 	"repro/internal/wms"
 )
@@ -70,7 +70,15 @@ func runReport(argv []string) int {
 	}
 
 	if *traceOut != "" {
-		if err := writeTraceFile(*traceOut, spans); err != nil {
+		if err := createFile(*traceOut, func(w io.Writer) error {
+			tw := span.NewTraceWriter(w)
+			for _, s := range spans {
+				if err := tw.Write(s); err != nil {
+					return err
+				}
+			}
+			return tw.Close()
+		}); err != nil {
 			fmt.Fprintln(os.Stderr, "gopar report:", err)
 			return 2
 		}
@@ -175,12 +183,13 @@ func loadSpans(spansPath, joblogPath string, simulate bool, simCfg span.SimConfi
 	}
 }
 
-func writeTraceFile(path string, spans []span.Span) error {
+// createFile creates path and fills it with write.
+func createFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := profile.WriteSpanTrace(f, spans); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -263,6 +272,16 @@ func printReport(w io.Writer, rep reportDoc, md bool) {
 	}
 	render(cpt)
 
+	prof := metrics.NewTable("Parallel profile (how many slots the run kept busy, and could use)",
+		"effective_parallelism", "mean_launch_gap_ms", "recommended_jobs")
+	prof.AddRow(fmt.Sprintf("%.2f", a.EffectiveParallelism),
+		fmt.Sprintf("%.3f", a.MeanLaunchGapS*1e3), a.RecommendedJobs)
+	dispatch, from := a.DispatchMeanS, "measured"
+	if dispatch <= 0 {
+		dispatch, from = cluster.DispatchCost.Seconds(), "GNU Parallel's, none measured"
+	}
+	prof.AddNote("recommended_jobs = min(jobs, exec p50 / dispatch + 1) at %.3f ms dispatch (%s)",
+		dispatch*1e3, from)
 	if len(a.Utilization) > 0 {
 		var sum, peak float64
 		for _, u := range a.Utilization {
@@ -271,10 +290,12 @@ func printReport(w io.Writer, rep reportDoc, md bool) {
 				peak = u.Busy
 			}
 		}
-		fmt.Fprintf(w, "slot utilization: mean %.1f%%, peak %.1f%% over %d buckets of %.3fs\n\n",
+		prof.AddNote("slot utilization: mean %.1f%%, peak %.1f%% over %d buckets of %.3fs",
 			100*sum/float64(len(a.Utilization)), 100*peak,
 			len(a.Utilization), a.Utilization[0].WidthS)
+		prof.AddNote("utilization %s", sparkline(a.Utilization))
 	}
+	render(prof)
 
 	if len(rep.WMS) > 0 {
 		wt := metrics.NewTable("WMS comparison: orchestration overhead to launch N tasks",
@@ -286,6 +307,16 @@ func printReport(w io.Writer, rep reportDoc, md bool) {
 		wt.AddNote("per-node = measured per-task launch cost x %d tasks/node; Swift/T model calibrated to 500s @ 50k tasks (paper SII)", tasksPerNode)
 		render(wt)
 	}
+}
+
+// sparkline draws utilization buckets as one block character each.
+func sparkline(pts []span.UtilPoint) string {
+	levels := []rune("▁▂▃▄▅▆▇█")
+	out := make([]rune, len(pts))
+	for i, p := range pts {
+		out[i] = levels[int(math.Min(math.Max(p.Busy, 0), 1)*float64(len(levels)-1)+0.5)]
+	}
+	return string(out)
 }
 
 // checkGolden compares numeric fields of the golden JSON against the

@@ -80,7 +80,7 @@ type InstanceConfig struct {
 	// OnEvent, when non-nil, receives the same job-lifecycle events a
 	// real engine publishes (core.Event), with virtual timestamps
 	// mapped onto the Unix epoch — so telemetry built for live runs
-	// (telemetry.Bus, RunMetrics, profile.LiveTrace) observes
+	// (telemetry.Bus, RunMetrics, span.Recorder) observes
 	// simulated instances through the identical interface.
 	OnEvent func(core.Event)
 	// Collect retains results in Report.Results (off for million-task

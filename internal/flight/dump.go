@@ -10,6 +10,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/core"
 )
 
 // DumpVersion is the dump wire-format version.
@@ -27,6 +29,28 @@ type EventRecord struct {
 	Command    string  `json:"command,omitempty"`
 	DurationMS float64 `json:"duration_ms,omitempty"`
 	DispatchUS float64 `json:"dispatch_us,omitempty"`
+}
+
+// CoreEvent turns an event record back into the lifecycle event it was
+// copied from, so a dump can be replayed through the consumers of the
+// live stream. Fields the dump does not keep (End, the phase marks)
+// stay zero; ok is false for a record that holds no event or an
+// event type this build does not know.
+func (r Record) CoreEvent() (ev core.Event, ok bool) {
+	e := r.Event
+	if e == nil {
+		return ev, false
+	}
+	for t := core.EventQueued; t <= core.EventKilled; t++ {
+		if t.String() == e.Type {
+			ev.Type, ok = t, true
+		}
+	}
+	ev.Seq, ev.Slot, ev.Attempt, ev.Time = e.Seq, e.Slot, e.Attempt, r.Time
+	ev.Command, ev.OK, ev.ExitCode, ev.Host = e.Command, e.OK, e.Exit, e.Host
+	ev.Duration = time.Duration(e.DurationMS * float64(time.Millisecond))
+	ev.DispatchDelay = time.Duration(e.DispatchUS * float64(time.Microsecond))
+	return ev, ok
 }
 
 // Record is the wire shape of one retained ring record.

@@ -31,7 +31,7 @@
 //
 // cmd/gopar's `debug` subcommand fetches or reads a dump and renders
 // it as a table, JSON, or a Chrome/Perfetto trace
-// (profile.FlightTrace). docs/OBSERVABILITY.md is the user manual.
+// (span.WriteDumpTrace). docs/OBSERVABILITY.md is the user manual.
 package flight
 
 import (

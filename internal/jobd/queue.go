@@ -166,7 +166,7 @@ func (s *Server) openQueue(name string, cfg QueueConfig, create bool) (*queue, e
 		}
 		q.spanF = f
 		q.spanW = bufio.NewWriter(f)
-		q.spanRec = span.NewRecorder(q.spanW, false)
+		q.spanRec = span.NewRecorder(span.NewJSONLWriter(q.spanW))
 		q.spanDone = make(chan struct{})
 		sub := q.bus.Subscribe(8192)
 		go func() {

@@ -3,6 +3,8 @@ package span
 import (
 	"sort"
 	"time"
+
+	"repro/internal/cluster"
 )
 
 // PhaseStat is the latency digest for one phase across a run. All
@@ -89,6 +91,18 @@ type Analysis struct {
 	ContainerMeanS float64 `json:"container_mean_s,omitempty"`
 	ContainerPct   float64 `json:"container_pct,omitempty"`
 
+	// EffectiveParallelism is (exec + staging) / makespan: how many
+	// slots the run kept busy on average. MeanLaunchGapS is the mean
+	// gap between consecutive job starts (launch pacing).
+	EffectiveParallelism float64 `json:"effective_parallelism"`
+	MeanLaunchGapS       float64 `json:"mean_launch_gap_s"`
+	// RecommendedJobs is the -j past which one dispatcher cannot refill
+	// slots as fast as median-exec jobs free them: min(jobs,
+	// ⌊exec p50 / dispatch⌋ + 1), at the measured mean dispatch cost or,
+	// when the input carries none (a joblog), cluster.DispatchCost. It
+	// is Slots when the exec p50 is zero.
+	RecommendedJobs int `json:"recommended_jobs"`
+
 	Phases       []PhaseStat  `json:"phases"`
 	Utilization  []UtilPoint  `json:"utilization,omitempty"`
 	CriticalPath CriticalPath `json:"critical_path"`
@@ -115,6 +129,7 @@ func Analyze(spans []Span) Analysis {
 	}
 
 	var complete []Span
+	var firstStart, lastStart time.Time // launch pacing
 	for _, s := range spans {
 		if s.Incomplete {
 			a.Incomplete++
@@ -145,6 +160,12 @@ func Analyze(spans []Span) Analysis {
 		}
 		if s.End.After(a.End) {
 			a.End = s.End
+		}
+		if !s.Started.IsZero() && (firstStart.IsZero() || s.Started.Before(firstStart)) {
+			firstStart = s.Started
+		}
+		if s.Started.After(lastStart) {
+			lastStart = s.Started
 		}
 		addPhase(PhaseRender, s.Render)
 		addPhase(PhaseQueueWait, s.QueueWait)
@@ -201,30 +222,42 @@ func Analyze(spans []Span) Analysis {
 
 	// Headline rates: a serial dispatch stream sustains 1/mean(dispatch)
 	// process launches per second — the paper's procs/s/instance.
-	if disp := phaseVals[PhaseDispatch]; len(disp) > 0 {
-		var t float64
-		for _, v := range disp {
-			t += v
-		}
-		a.DispatchMeanS = t / float64(len(disp))
-		if a.DispatchMeanS > 0 {
-			a.DispatchRate = 1 / a.DispatchMeanS
-		}
+	a.DispatchMeanS = a.phase(PhaseDispatch).MeanS
+	if a.DispatchMeanS > 0 {
+		a.DispatchRate = 1 / a.DispatchMeanS
 	}
-	if cont := phaseVals[PhaseContainerStart]; len(cont) > 0 {
-		var t float64
-		for _, v := range cont {
-			t += v
+	a.ContainerMeanS = a.phase(PhaseContainerStart).MeanS
+	if a.ContainerMeanS > 0 {
+		a.ContainerPct = a.ContainerMeanS / (a.DispatchMeanS + a.ContainerMeanS)
+	}
+	if a.MakespanS > 0 {
+		a.EffectiveParallelism = (a.ExecTotalS + a.StageTotalS) / a.MakespanS
+	}
+	if n := len(complete); n > 1 {
+		a.MeanLaunchGapS = lastStart.Sub(firstStart).Seconds() / float64(n-1)
+	}
+	a.RecommendedJobs = a.Slots
+	if exec := a.phase(PhaseExec).P50S; exec > 0 {
+		dispatch := a.DispatchMeanS
+		if dispatch <= 0 {
+			dispatch = cluster.DispatchCost.Seconds()
 		}
-		a.ContainerMeanS = t / float64(len(cont))
-		if sum := a.DispatchMeanS + a.ContainerMeanS; sum > 0 {
-			a.ContainerPct = a.ContainerMeanS / sum
-		}
+		a.RecommendedJobs = min(a.Jobs, int(exec/dispatch)+1)
 	}
 
 	a.Utilization = utilization(complete, a)
 	a.CriticalPath = criticalPath(complete)
 	return a
+}
+
+// phase returns the digest for name (zero if the run never paid it).
+func (a *Analysis) phase(name string) PhaseStat {
+	for _, p := range a.Phases {
+		if p.Phase == name {
+			return p
+		}
+	}
+	return PhaseStat{}
 }
 
 // percentile returns the nearest-rank percentile of sorted vals.

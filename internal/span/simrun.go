@@ -82,7 +82,12 @@ func RunSim(cfg SimConfig, w io.Writer) ([]Span, error) {
 		return nil, fmt.Errorf("span: unknown runtime %q", cfg.Runtime)
 	}
 
-	rec := NewRecorder(w, true)
+	var spans Spans
+	sinks := []Sink{&spans}
+	if w != nil {
+		sinks = append(sinks, NewJSONLWriter(w))
+	}
+	rec := NewRecorder(sinks...)
 	taskRNG := e.RNG().Split("span/tasks")
 
 	wg := sim.NewCounter(e, cfg.Instances)
@@ -116,5 +121,5 @@ func RunSim(cfg SimConfig, w io.Writer) ([]Span, error) {
 	if err := rec.Close(); err != nil {
 		return nil, err
 	}
-	return rec.Spans(), nil
+	return spans, nil
 }

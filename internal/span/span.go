@@ -9,15 +9,15 @@
 //
 //   - Recorder consumes the same core.Event stream the telemetry bus
 //     carries (real engines, simulated cluster instances and remote
-//     workers all emit it) and assembles one Span per job, streaming
-//     completed spans as JSON lines. Attach it as a bus subscription
-//     consumer — never a synchronous tap — so span assembly stays off
-//     the dispatch hot path.
+//     workers all emit it) and assembles one Span per job, handing each
+//     completed span to its sinks: JSONLWriter (the --spans file) and
+//     TraceWriter (the Chrome/Perfetto trace). Attach it as a bus
+//     subscription consumer — never a synchronous tap — so span
+//     assembly stays off the dispatch hot path.
 //
-//   - The wire format (one JSON object per line, written next to the
-//     --events stream) survives interrupted runs: the Recorder flushes
-//     in-flight spans on Close, and Parse tolerates a truncated final
-//     line.
+//   - Both sinks survive interrupted runs: the Recorder flushes
+//     in-flight spans on Close, Parse tolerates a truncated final line,
+//     and a trace cut mid-run loads once its closing bracket is added.
 //
 //   - Analyze decomposes a set of spans into the paper's measurements:
 //     per-phase totals and latency percentiles, total wall time split
@@ -28,8 +28,6 @@
 package span
 
 import (
-	"encoding/json"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -65,6 +63,8 @@ type Span struct {
 	Attempt int
 	// Host is where the job ran ("" / ":" = local).
 	Host string
+	// Command is the rendered command line ("" for Func-runner jobs).
+	Command string
 	// OK, Exit and Killed mirror the job's terminal event.
 	OK     bool
 	Exit   int
@@ -107,29 +107,31 @@ func (s Span) Overhead() time.Duration {
 	return s.Render + s.Dispatch + s.ContainerStart + s.Collect
 }
 
-// Recorder assembles Spans from job-lifecycle events and streams
-// completed spans as JSON lines. It is safe for concurrent use; feed
-// it from a telemetry bus subscription (async, lossy) rather than a
-// synchronous tap, so a slow disk cannot stall dispatch.
+// Sink receives every span a Recorder assembles, in completion order.
+// A sink keeps its first write error, drops later writes and returns
+// that error from Close, which the Recorder calls once, after the last
+// span.
+type Sink interface {
+	Write(Span) error
+	Close() error
+}
+
+// Recorder assembles Spans from job-lifecycle events and hands each
+// completed span to its sinks. It is safe for concurrent use and
+// serializes sink calls; feed it from a telemetry bus subscription
+// (async, lossy) rather than a synchronous tap, so a slow disk cannot
+// stall dispatch.
 type Recorder struct {
 	mu      sync.Mutex
-	enc     *json.Encoder
-	keep    bool
+	sinks   []Sink
 	pending map[int]*Span
-	spans   []Span
 	err     error
 	closed  bool
 }
 
-// NewRecorder streams completed spans to w (nil = no stream). When
-// keep is true, completed spans are also retained in memory for
-// Spans() — off for million-task runs, on for in-process analysis.
-func NewRecorder(w io.Writer, keep bool) *Recorder {
-	r := &Recorder{keep: keep, pending: map[int]*Span{}}
-	if w != nil {
-		r.enc = json.NewEncoder(w)
-	}
-	return r
+// NewRecorder hands completed spans to sinks.
+func NewRecorder(sinks ...Sink) *Recorder {
+	return &Recorder{sinks: sinks, pending: map[int]*Span{}}
 }
 
 // Consume folds one lifecycle event into the recorder. The signature
@@ -143,10 +145,11 @@ func (r *Recorder) Consume(ev core.Event) {
 	switch ev.Type {
 	case core.EventQueued:
 		r.pending[ev.Seq] = &Span{
-			Seq: ev.Seq, Queued: ev.Time, Render: ev.Render, Incomplete: true,
+			Seq: ev.Seq, Command: ev.Command, Queued: ev.Time, Render: ev.Render,
+			Incomplete: true,
 		}
 	case core.EventStarted:
-		s := r.ensure(ev.Seq)
+		s := r.ensure(ev)
 		s.Started = ev.Time
 		s.Slot = ev.Slot
 		if s.Attempt < ev.Attempt {
@@ -156,12 +159,12 @@ func (r *Recorder) Consume(ev core.Event) {
 			s.QueueWait = ev.Time.Sub(s.Queued)
 		}
 	case core.EventRetried:
-		s := r.ensure(ev.Seq)
+		s := r.ensure(ev)
 		if s.Attempt < ev.Attempt {
 			s.Attempt = ev.Attempt
 		}
 	case core.EventFinished, core.EventKilled:
-		s := r.ensure(ev.Seq)
+		s := r.ensure(ev)
 		s.Incomplete = false
 		s.Killed = ev.Type == core.EventKilled
 		s.OK = ev.OK
@@ -196,29 +199,32 @@ func (r *Recorder) Consume(ev core.Event) {
 	}
 }
 
-func (r *Recorder) ensure(seq int) *Span {
-	s := r.pending[seq]
+// ensure returns the pending span for ev's job, opening one when its
+// earlier events were never seen (a lossy bus, a flight dump's ring).
+func (r *Recorder) ensure(ev core.Event) *Span {
+	s := r.pending[ev.Seq]
 	if s == nil {
-		s = &Span{Seq: seq, Incomplete: true}
-		r.pending[seq] = s
+		s = &Span{Seq: ev.Seq, Incomplete: true}
+		r.pending[ev.Seq] = s
+	}
+	if s.Command == "" {
+		s.Command = ev.Command
 	}
 	return s
 }
 
-// emit writes one finished span; errors are sticky.
+// emit hands one span to every sink; each keeps its own first error
+// for Close to report.
 func (r *Recorder) emit(s Span) {
-	if r.keep {
-		r.spans = append(r.spans, s)
-	}
-	if r.enc != nil && r.err == nil {
-		r.err = r.enc.Encode(wireFromSpan(s))
+	for _, k := range r.sinks {
+		k.Write(s)
 	}
 }
 
 // Close flushes spans still in flight (queued or started but never
 // finished — an interrupted run) as Incomplete records, so a killed
-// run's span file remains analyzable. Further Consume calls are
-// ignored.
+// run's span file remains analyzable, then closes every sink. Further
+// Consume calls are ignored.
 func (r *Recorder) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -235,20 +241,20 @@ func (r *Recorder) Close() error {
 		r.emit(*r.pending[seq])
 	}
 	r.pending = nil
+	for _, k := range r.sinks {
+		if err := k.Close(); err != nil && r.err == nil {
+			r.err = err
+		}
+	}
 	return r.err
 }
 
-// Err returns the first stream-write error, if any.
-func (r *Recorder) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
-}
+// Spans is a Sink that keeps every span in memory, for in-process
+// analysis (off for million-task runs).
+type Spans []Span
 
-// Spans returns the retained spans (NewRecorder keep=true), in
-// completion order with any Close-flushed incomplete spans last.
-func (r *Recorder) Spans() []Span {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Span(nil), r.spans...)
-}
+// Write appends s.
+func (l *Spans) Write(s Span) error { *l = append(*l, s); return nil }
+
+// Close is a no-op.
+func (l *Spans) Close() error { return nil }

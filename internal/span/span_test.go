@@ -3,6 +3,7 @@ package span
 import (
 	"bytes"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -15,7 +16,7 @@ var t0 = time.Date(2024, 5, 1, 12, 0, 0, 0, time.UTC)
 // feedJob pushes a full queued→started→finished event sequence.
 func feedJob(r *Recorder, seq, slot int) {
 	r.Consume(core.Event{Type: core.EventQueued, Seq: seq, Time: t0,
-		Render: 50 * time.Microsecond})
+		Command: "work " + strconv.Itoa(seq), Render: 50 * time.Microsecond})
 	r.Consume(core.Event{Type: core.EventStarted, Seq: seq, Slot: slot,
 		Attempt: 1, Time: t0.Add(10 * time.Millisecond)})
 	end := t0.Add(120 * time.Millisecond)
@@ -33,9 +34,9 @@ func feedJob(r *Recorder, seq, slot int) {
 }
 
 func TestRecorderAssemblesSpan(t *testing.T) {
-	r := NewRecorder(nil, true)
+	var spans Spans
+	r := NewRecorder(&spans)
 	feedJob(r, 1, 4)
-	spans := r.Spans()
 	if len(spans) != 1 {
 		t.Fatalf("got %d spans, want 1", len(spans))
 	}
@@ -43,7 +44,7 @@ func TestRecorderAssemblesSpan(t *testing.T) {
 	if s.Incomplete {
 		t.Error("span marked incomplete")
 	}
-	if s.Seq != 1 || s.Slot != 4 || !s.OK || s.Host != "nodeA" {
+	if s.Seq != 1 || s.Slot != 4 || !s.OK || s.Host != "nodeA" || s.Command != "work 1" {
 		t.Errorf("identity fields wrong: %+v", s)
 	}
 	if s.Render != 50*time.Microsecond {
@@ -71,7 +72,8 @@ func TestRecorderAssemblesSpan(t *testing.T) {
 
 func TestRecorderCloseFlushesIncomplete(t *testing.T) {
 	var buf bytes.Buffer
-	r := NewRecorder(&buf, true)
+	var kept Spans
+	r := NewRecorder(&kept, NewJSONLWriter(&buf))
 	feedJob(r, 1, 1)
 	// Job 2 queued and started but never finished (interrupted run).
 	r.Consume(core.Event{Type: core.EventQueued, Seq: 2, Time: t0})
@@ -95,14 +97,15 @@ func TestRecorderCloseFlushesIncomplete(t *testing.T) {
 	}
 	// Consume after Close is ignored.
 	feedJob(r, 3, 3)
-	if got := len(r.Spans()); got != 2 {
+	if got := len(kept); got != 2 {
 		t.Errorf("Consume after Close changed span count: %d", got)
 	}
 }
 
 func TestWireRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	r := NewRecorder(&buf, true)
+	var kept Spans
+	r := NewRecorder(&kept, NewJSONLWriter(&buf))
 	feedJob(r, 7, 2)
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
@@ -114,9 +117,9 @@ func TestWireRoundTrip(t *testing.T) {
 	if len(parsed) != 1 {
 		t.Fatalf("got %d spans", len(parsed))
 	}
-	orig, got := r.Spans()[0], parsed[0]
+	orig, got := kept[0], parsed[0]
 	if got.Seq != orig.Seq || got.Slot != orig.Slot || got.Host != orig.Host ||
-		got.OK != orig.OK || got.Attempt != orig.Attempt {
+		got.OK != orig.OK || got.Attempt != orig.Attempt || got.Command != "work 7" {
 		t.Errorf("identity mismatch:\n got %+v\nwant %+v", got, orig)
 	}
 	for _, pair := range []struct {
@@ -144,7 +147,7 @@ func TestWireRoundTrip(t *testing.T) {
 
 func TestParseToleratesTruncatedTail(t *testing.T) {
 	var buf bytes.Buffer
-	r := NewRecorder(&buf, false)
+	r := NewRecorder(NewJSONLWriter(&buf))
 	feedJob(r, 1, 1)
 	feedJob(r, 2, 1)
 	full := buf.String()

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -19,6 +20,7 @@ type wireSpan struct {
 	Slot       int     `json:"slot,omitempty"`
 	Attempt    int     `json:"attempt,omitempty"`
 	Host       string  `json:"host,omitempty"`
+	Command    string  `json:"cmd,omitempty"`
 	OK         bool    `json:"ok"`
 	Exit       int     `json:"exit,omitempty"`
 	Killed     bool    `json:"killed,omitempty"`
@@ -60,7 +62,7 @@ func dur(s float64) time.Duration  { return time.Duration(s * float64(time.Secon
 
 func wireFromSpan(s Span) wireSpan {
 	return wireSpan{
-		Seq: s.Seq, Slot: s.Slot, Attempt: s.Attempt, Host: s.Host,
+		Seq: s.Seq, Slot: s.Slot, Attempt: s.Attempt, Host: s.Host, Command: s.Command,
 		OK: s.OK, Exit: s.Exit, Killed: s.Killed, Incomplete: s.Incomplete,
 		Queued: fmtTime(s.Queued), Started: fmtTime(s.Started), End: fmtTime(s.End),
 		Render: secs(s.Render), QueueWait: secs(s.QueueWait),
@@ -72,7 +74,7 @@ func wireFromSpan(s Span) wireSpan {
 
 func (w wireSpan) span() Span {
 	return Span{
-		Seq: w.Seq, Slot: w.Slot, Attempt: w.Attempt, Host: w.Host,
+		Seq: w.Seq, Slot: w.Slot, Attempt: w.Attempt, Host: w.Host, Command: w.Command,
 		OK: w.OK, Exit: w.Exit, Killed: w.Killed, Incomplete: w.Incomplete,
 		Queued: parseTime(w.Queued), Started: parseTime(w.Started), End: parseTime(w.End),
 		Render: dur(w.Render), QueueWait: dur(w.QueueWait),
@@ -81,6 +83,27 @@ func (w wireSpan) span() Span {
 		Exec: dur(w.Exec), StageOut: dur(w.StageOut), Collect: dur(w.Collect),
 	}
 }
+
+// JSONLWriter is the Sink behind --spans: one wire-format JSON object
+// per line.
+type JSONLWriter struct {
+	enc *json.Encoder
+	err error
+}
+
+// NewJSONLWriter streams spans to w.
+func NewJSONLWriter(w io.Writer) *JSONLWriter { return &JSONLWriter{enc: json.NewEncoder(w)} }
+
+// Write appends one span line.
+func (j *JSONLWriter) Write(s Span) error {
+	if j.err == nil {
+		j.err = j.enc.Encode(wireFromSpan(s))
+	}
+	return j.err
+}
+
+// Close reports the first write error; the caller owns the writer.
+func (j *JSONLWriter) Close() error { return j.err }
 
 // Parse reads a span JSONL stream. A malformed final line (a run killed
 // mid-write) is tolerated; a malformed line elsewhere is an error.
@@ -113,10 +136,18 @@ func Parse(r io.Reader) ([]Span, error) {
 	return spans, nil
 }
 
-// FromJoblog converts joblog entries into coarse spans: exec time and
-// host survive, but phase attribution (dispatch, container, staging) is
-// lost — analysis degrades to utilization and exec statistics. It is
-// the fallback when a run predates --spans.
+// quantum is the joblog timestamp resolution (µs in our logs, coarser
+// in GNU Parallel's). A slot freed less than one quantum after the next
+// start counts as free: engines hand a slot over in well under a
+// microsecond, and float64 round-trips of quantized timestamps can
+// otherwise invent a sub-quantum overlap.
+const quantum = time.Microsecond
+
+// FromJoblog converts joblog entries into coarse spans, in start order,
+// for runs without --spans: exec time and host survive, phase
+// attribution is lost. The joblog records no slot, so each job takes
+// the lowest-numbered slot free at its start, which makes the slot
+// count the run's peak concurrency.
 func FromJoblog(entries []core.JoblogEntry) []Span {
 	spans := make([]Span, 0, len(entries))
 	for _, e := range entries {
@@ -125,6 +156,7 @@ func FromJoblog(entries []core.JoblogEntry) []Span {
 		spans = append(spans, Span{
 			Seq:     e.Seq,
 			Host:    e.Host,
+			Command: e.Command,
 			OK:      e.Exitval == 0 && e.Signal == 0,
 			Exit:    e.Exitval,
 			Attempt: 1,
@@ -133,6 +165,20 @@ func FromJoblog(entries []core.JoblogEntry) []Span {
 			End:     start.Add(exec),
 			Exec:    exec,
 		})
+	}
+	sort.SliceStable(spans, func(i, j int) bool { return spans[i].Started.Before(spans[j].Started) })
+	var busyUntil []time.Time // busyUntil[k] is when slot k+1 frees
+	for i := range spans {
+		s := &spans[i]
+		k := 0
+		for k < len(busyUntil) && busyUntil[k].Sub(s.Started) > quantum {
+			k++
+		}
+		if k == len(busyUntil) {
+			busyUntil = append(busyUntil, time.Time{})
+		}
+		busyUntil[k] = s.End
+		s.Slot = k + 1
 	}
 	return spans
 }

@@ -47,7 +47,7 @@ func withTelemetry(tb testing.TB, n int, f func(publish func(core.Event)) time.D
 	reg := NewRegistry()
 	m := NewRunMetrics(reg, 16)
 	bus.Tap(m.Observe)
-	rec := span.NewRecorder(io.Discard, false)
+	rec := span.NewRecorder(span.NewJSONLWriter(io.Discard))
 	sub := bus.Subscribe(0)
 	done := make(chan struct{})
 	go func() {

@@ -1,6 +1,6 @@
 // Package telemetry is the runtime observability subsystem for the
 // launcher stack: live job-lifecycle events while a run is in flight,
-// instead of the after-the-fact joblog analysis internal/profile does.
+// instead of the after-the-fact joblog analysis `gopar report --joblog` does.
 //
 // The design keeps the paper's constraint — near-zero orchestration
 // overhead — front and center:
