@@ -292,11 +292,7 @@ func run() int {
 		pool = p
 		defer pool.Close()
 		runner = pool
-		// The pool's capacity is the natural slot count unless the user
-		// explicitly lowered -j.
-		if spec.Jobs > pool.Slots() || spec.Jobs == 8 /* default */ {
-			spec.Jobs = pool.Slots()
-		}
+		spec.Jobs = poolJobs(spec, pool)
 	}
 
 	// Flight recorder: the always-on black box. Fixed memory, zero
@@ -593,6 +589,21 @@ func run() int {
 func stderrIsTTY() bool {
 	fi, err := os.Stderr.Stat()
 	return err == nil && fi.Mode()&os.ModeCharDevice != 0
+}
+
+// poolJobs is the engine's -j over a worker pool: the pool's answer
+// for -j (the default -j 8 counts as unset, i.e. the whole pool), or
+// at most its slots when a job's slot number must name the worker slot
+// that runs it ({%} in the template, --gpu-env).
+func poolJobs(spec *core.Spec, pool *dist.Pool) int {
+	limit := spec.Jobs
+	if limit == 8 /* default */ {
+		limit = pool.Slots()
+	}
+	if spec.SlotEnv != nil || (spec.Template != nil && spec.Template.HasSlotPlaceholder()) {
+		return min(limit, pool.Slots())
+	}
+	return pool.Jobs(limit)
 }
 
 // parseWorkers parses the -S list: comma-separated [slots/]host:port

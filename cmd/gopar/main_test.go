@@ -1,6 +1,8 @@
 package main
 
 import (
+	"context"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
@@ -8,6 +10,7 @@ import (
 
 	"repro/internal/args"
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/span"
 )
 
@@ -161,5 +164,49 @@ func TestRenderAndSparkline(t *testing.T) {
 	}
 	if !strings.Contains(out, "utilization "+strings.Repeat("█", len(a.Utilization))) {
 		t.Fatalf("sparkline of a fully busy run missing:\n%s", out)
+	}
+}
+
+// TestPoolJobs: -S runs the pool's credit window unless -j was lowered
+// below the pool or a job's slot number must name its worker slot.
+func TestPoolJobs(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go dist.Serve(ctx, l, dist.WorkerConfig{Slots: 4})
+	pool, err := dist.Dial([]dist.WorkerSpec{{Addr: l.Addr().String()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	slots, window := pool.Slots(), pool.Window()
+	cases := []struct {
+		command string
+		jobs    int
+		slotEnv bool
+		want    int
+	}{
+		{"echo {}", 8, false, window},   // default -j
+		{"echo {}", 4, false, window},   // -j at the pool
+		{"echo {}", 100, false, window}, // -j above the pool
+		{"echo {}", 2, false, 2},        // -j lowered below the pool
+		{"echo {%} {}", 8, false, slots},
+		{"echo {}", 8, true, slots}, // --gpu-env
+		{"echo {%}", 2, false, 2},
+	}
+	for _, c := range cases {
+		spec, err := core.NewSpec(c.command, c.jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.slotEnv {
+			spec.SlotEnv = func(int) []string { return nil }
+		}
+		if got := poolJobs(spec, pool); got != c.want {
+			t.Errorf("poolJobs(%q, -j %d, slotEnv %v) = %d, want %d", c.command, c.jobs, c.slotEnv, got, c.want)
+		}
 	}
 }

@@ -804,17 +804,27 @@ func (e *Engine) runJob(ctx context.Context, job *Job) Result {
 	if tries < 1 {
 		tries = 1
 	}
+	var tr TimeoutRunner
+	if s.Timeout > 0 {
+		tr, _ = e.runner.(TimeoutRunner)
+	}
 	var res Result
 	for attempt := 1; ; attempt++ {
-		runCtx := ctx
-		var cancel context.CancelFunc
-		if s.Timeout > 0 {
-			runCtx, cancel = context.WithTimeout(ctx, s.Timeout)
-		}
-		res = e.runner.Run(runCtx, job)
-		timedOut := s.Timeout > 0 && runCtx.Err() == context.DeadlineExceeded
-		if cancel != nil {
-			cancel()
+		var timedOut bool
+		if tr != nil {
+			res = tr.RunTimeout(ctx, job, s.Timeout)
+			timedOut = res.TimedOut
+		} else {
+			runCtx := ctx
+			var cancel context.CancelFunc
+			if s.Timeout > 0 {
+				runCtx, cancel = context.WithTimeout(ctx, s.Timeout)
+			}
+			res = e.runner.Run(runCtx, job)
+			timedOut = s.Timeout > 0 && runCtx.Err() == context.DeadlineExceeded
+			if cancel != nil {
+				cancel()
+			}
 		}
 		res.Attempts = attempt
 		res.TimedOut = timedOut

@@ -582,3 +582,42 @@ func BenchmarkEngineKeepOrderOverhead(b *testing.B) {
 }
 
 var _ io.Writer = (*bytes.Buffer)(nil)
+
+// selfTimedRunner is a TimeoutRunner that records the timeout it was
+// handed and whether its context carried a deadline.
+type selfTimedRunner struct {
+	got         atomic.Int64
+	hadDeadline atomic.Bool
+}
+
+func (r *selfTimedRunner) Run(ctx context.Context, job *Job) Result {
+	return r.RunTimeout(ctx, job, 0)
+}
+
+func (r *selfTimedRunner) RunTimeout(ctx context.Context, job *Job, timeout time.Duration) Result {
+	r.got.Store(int64(timeout))
+	_, dl := ctx.Deadline()
+	r.hadDeadline.Store(dl)
+	return Result{Job: *job, ExitCode: -1, TimedOut: job.Args[0] == "slow"}
+}
+
+// TestEngineHandsTimeoutToTimeoutRunner: a TimeoutRunner gets
+// Spec.Timeout itself instead of a context deadline, and its TimedOut
+// verdict is the engine's.
+func TestEngineHandsTimeoutToTimeoutRunner(t *testing.T) {
+	r := &selfTimedRunner{}
+	spec, _ := NewSpec("", 1)
+	spec.Timeout = 300 * time.Millisecond
+	var results []Result
+	spec.OnResult = func(res Result) { results = append(results, res) }
+	eng, _ := NewEngine(spec, r)
+	if _, _, err := eng.Run(context.Background(), args.Literal("slow")); err != nil {
+		t.Fatal(err)
+	}
+	if time.Duration(r.got.Load()) != spec.Timeout || r.hadDeadline.Load() {
+		t.Fatalf("runner got timeout %v, deadline on ctx %v", time.Duration(r.got.Load()), r.hadDeadline.Load())
+	}
+	if len(results) != 1 || !results[0].TimedOut || !errors.Is(results[0].Err, context.DeadlineExceeded) {
+		t.Fatalf("results = %+v", results)
+	}
+}

@@ -20,6 +20,17 @@ type Runner interface {
 	Run(ctx context.Context, job *Job) Result
 }
 
+// TimeoutRunner is a Runner that times a job itself, from the moment the
+// job starts rather than from the moment Run is called — dist.Pool,
+// whose workers queue credited jobs until a slot frees. The engine
+// hands it Spec.Timeout through RunTimeout instead of a context
+// deadline, which would expire on a job still waiting in that queue,
+// and reads the verdict from Result.TimedOut.
+type TimeoutRunner interface {
+	Runner
+	RunTimeout(ctx context.Context, job *Job, timeout time.Duration) Result
+}
+
 // FuncRunner adapts an in-process Go payload to the Runner interface. The
 // function receives the job and returns stdout bytes and an error; exit
 // code is derived (0 on nil error, 1 otherwise).

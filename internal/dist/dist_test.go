@@ -404,8 +404,10 @@ func TestProtocolVersionMismatch(t *testing.T) {
 	}{
 		{"legacy_JSON_hello", []byte(`{"version":1,"name":"old","slots":4,"max_version":3}` + "\n"),
 			"speaks the pre-v3 JSON protocol"},
-		{"future_version", frameBytes(t, encodeHelloV3(nil, hello{Version: 4, Name: "future", Slots: 1})),
-			`("future") announces protocol version 4`},
+		{"v3_before_cancel_frames", frameBytes(t, encodeHelloV3(nil, hello{Version: 3, Name: "older", Slots: 1})),
+			`("older") announces protocol version 3; this build speaks only 4`},
+		{"future_version", frameBytes(t, encodeHelloV3(nil, hello{Version: 5, Name: "future", Slots: 1})),
+			`("future") announces protocol version 5`},
 		{"zero_slots", frameBytes(t, encodeHelloV3(nil, hello{Version: protocolVersion, Name: "empty", Slots: 0})),
 			`("empty") advertises 0 slots`},
 		{"random_bytes", junk, "sent no valid hello"},
@@ -645,7 +647,10 @@ func TestJoblogRecordsRemoteHost(t *testing.T) {
 }
 
 // BenchmarkPoolDispatch measures remote job round-trips per second over
-// loopback — the distributed analogue of Fig 3's launch-rate ceiling.
+// loopback — the distributed analogue of Fig 3's launch-rate ceiling —
+// with the engine at the pool's credit window, as gopar -S runs it. It
+// also reports the wire's coalescing: jobs per coordinator frame and
+// framed bytes (both directions) per job.
 func BenchmarkPoolDispatch(b *testing.B) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -663,9 +668,11 @@ func BenchmarkPoolDispatch(b *testing.B) {
 	}
 	defer pool.Close()
 
-	spec, _ := core.NewSpec("", pool.Slots())
+	spec, _ := core.NewSpec("", pool.Window())
 	eng, _ := core.NewEngine(spec, pool)
 	items := make([]string, b.N)
+	w := pool.Wire()
+	frames, bytes := w.FramesSent(), w.BytesSent()+w.BytesReceived()
 	b.ResetTimer()
 	start := time.Now()
 	stats, _, err := eng.Run(context.Background(), args.Literal(items...))
@@ -673,4 +680,6 @@ func BenchmarkPoolDispatch(b *testing.B) {
 		b.Fatalf("stats=%+v err=%v", stats, err)
 	}
 	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "jobs/s")
+	b.ReportMetric(float64(b.N)/float64(w.FramesSent()-frames), "jobs/frame")
+	b.ReportMetric(float64(w.BytesSent()+w.BytesReceived()-bytes)/float64(b.N), "bytes/job")
 }

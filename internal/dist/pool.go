@@ -26,17 +26,17 @@ type WorkerSpec struct {
 }
 
 // Pool is a core.Runner that executes jobs on remote workers. It holds
-// one multiplexed session (one TCP connection) per worker and one slot
-// token per worker slot; Run borrows a token, ships the job over its
-// session, and returns the result. Transport failures surface as job
-// errors (so Spec.Retries re-runs them, potentially on another worker),
-// and a broken session is redialed in the background — up to a
-// per-worker budget, after which its slots are written off and the pool
-// runs degraded (visible via Health) rather than spinning on a
-// permanently dead worker forever.
+// one multiplexed session (one TCP connection) per worker and
+// windowDepth credits per worker slot; Run borrows a credit, ships the
+// job over its session, and returns the result. Transport failures
+// surface as job errors (so Spec.Retries re-runs them, potentially on
+// another worker), and a broken session is redialed in the background
+// — up to a per-worker budget, after which its slots are written off
+// and the pool runs degraded (visible via Health) rather than spinning
+// on a permanently dead worker forever.
 type Pool struct {
-	// free holds one token per idle live slot: slots copies of each
-	// live session.
+	// free holds one token per idle credit: slots×windowDepth copies of
+	// each live session.
 	free   chan *session
 	total  int
 	closed chan struct{}
@@ -64,6 +64,28 @@ type Pool struct {
 	// worker, keyed by worker name.
 	snapMu sync.Mutex
 	snaps  map[string]telemetry.Snapshot
+}
+
+// windowDepth is D, the credits per worker slot: how many jobs a
+// session keeps in flight per slot it executes on. A sweep of the
+// service_noop benchmark over loopback on a 2-vCPU host (10 s runs,
+// seeds 4001 and 4002, jobs/s) gave 36k/44k at D=2, 38k/42k at 4,
+// 60k/55k at 8, 57k/56k at 16, 57k/63k at 32 and 60k/61k at 64: the
+// plateau starts at 8, and a larger D only lengthens what a cancel
+// scans and what a newly active tenant waits behind.
+const windowDepth = 8
+
+// timeoutGrace pads the coordinator's --timeout backstop: the time a
+// worker may take to kill a timed-out job and answer (ExecRunner waits
+// up to 2 s for a killed job's pipes to close).
+const timeoutGrace = 2 * time.Second
+
+// timeoutBackstop is how long a job with the given --timeout may go
+// unanswered once credited before the coordinator gives up on it: the
+// worker times it from its start, and up to windowDepth jobs per slot,
+// each bounded by the same timeout, can be queued ahead of it.
+func timeoutBackstop(timeout time.Duration) time.Duration {
+	return (windowDepth+1)*timeout + timeoutGrace
 }
 
 // DefaultRedialBudget is the redial-attempt cap applied when Dial is
@@ -169,7 +191,7 @@ func Dial(specs []WorkerSpec, opts ...Option) (*Pool, error) {
 		sessions = append(sessions, s)
 		p.total += s.slots
 	}
-	p.free = make(chan *session, p.total)
+	p.free = make(chan *session, p.total*windowDepth)
 	for _, s := range sessions {
 		p.register(s)
 	}
@@ -191,7 +213,8 @@ func (p *Pool) register(s *session) bool {
 	}
 	p.live[s] = true
 	p.mu.Unlock()
-	for i := 0; i < s.slots; i++ {
+	s.free = p.free
+	for i := 0; i < s.slots*windowDepth; i++ {
 		p.free <- s
 	}
 	s.setOnFail(func() { p.retireSession(s) })
@@ -224,9 +247,24 @@ func (p *Pool) dialSession(addr string, maxSlots int) (*session, error) {
 		resolveDeflateMin(p.deflateThreshold), &p.wire, p.storeSnap), nil
 }
 
-// Slots returns the pool's total concurrent capacity — the natural
-// Spec.Jobs for an engine driving this pool.
+// Slots returns how many jobs the pool's workers execute at once.
 func (p *Pool) Slots() int { return p.total }
+
+// Window returns how many jobs the pool keeps in flight at once.
+func (p *Pool) Window() int { return p.total * windowDepth }
+
+// Jobs is the engine concurrency (core.Spec.Jobs) that keeps at most
+// limit jobs executing at once: the window when limit covers every
+// worker slot, since the workers then cap execution themselves, and
+// limit otherwise, since a worker runs whatever it was credited as its
+// slots free. An engine whose slot numbers must name worker slots ({%},
+// SlotEnv) keeps at most Slots jobs in flight instead.
+func (p *Pool) Jobs(limit int) int {
+	if limit < p.total {
+		return limit
+	}
+	return p.Window()
+}
 
 // Close shuts every connection. In-flight jobs fail.
 func (p *Pool) Close() {
@@ -243,10 +281,19 @@ func (p *Pool) Close() {
 	}
 }
 
-// Run implements core.Runner. A context cancellation abandons the job
-// but keeps its session (and token) alive; only transport failures
-// retire the session.
+// Run implements core.Runner.
 func (p *Pool) Run(ctx context.Context, job *core.Job) core.Result {
+	return p.RunTimeout(ctx, job, 0)
+}
+
+// RunTimeout implements core.TimeoutRunner: the worker times the job
+// from its start there, not from its wait in the worker's queue. A
+// context cancellation abandons the job (the worker drops or kills it)
+// but keeps its session alive; only transport failures retire the
+// session. The coordinator keeps a backstop of its own: a job the
+// worker leaves unanswered for timeoutBackstop (a stuck runner, a
+// half-open connection) is abandoned and reported timed out.
+func (p *Pool) RunTimeout(ctx context.Context, job *core.Job, timeout time.Duration) core.Result {
 	res := core.Result{Job: *job, ExitCode: -1, Start: time.Now()}
 	var s *session
 	for s == nil {
@@ -272,36 +319,36 @@ func (p *Pool) Run(ctx context.Context, job *core.Job) core.Result {
 	res.Host = s.name
 
 	req := request{
-		Seq:     job.Seq,
-		Slot:    job.Slot,
-		Command: job.Command,
-		Args:    job.Args,
-		Env:     job.Env,
-		Stdin:   job.Stdin,
+		Seq:       job.Seq,
+		Slot:      job.Slot,
+		Command:   job.Command,
+		Args:      job.Args,
+		Env:       job.Env,
+		Stdin:     job.Stdin,
+		TimeoutNS: int64(timeout),
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		if left := time.Until(dl); left > 0 {
-			req.TimeoutNS = left.Nanoseconds()
-		}
+	var expire <-chan time.Time
+	if timeout > 0 {
+		t := time.NewTimer(timeoutBackstop(timeout))
+		defer t.Stop()
+		expire = t.C
 	}
-
-	resp, err := s.roundTrip(ctx, req)
+	resp, err := s.roundTrip(ctx, req, expire)
 	res.End = time.Now()
-	if err != nil {
-		if ctx.Err() != nil && !s.isDead() {
-			p.free <- s
-			res.Err = ctx.Err()
-			return res
-		}
+	switch err {
+	case errNoAnswer:
+		res.TimedOut = true
+		err = fmt.Errorf("dist: worker %s: %w", s.name, err)
+	case errSessionDead:
 		p.retireSession(s)
-		if ctx.Err() != nil {
-			res.Err = ctx.Err()
-		} else {
-			res.Err = fmt.Errorf("dist: worker %s: %w", s.name, err)
+		if err = ctx.Err(); err == nil {
+			err = fmt.Errorf("dist: worker %s: %w", s.name, errSessionDead)
 		}
+	}
+	if err != nil {
+		res.Err = err
 		return res
 	}
-	p.free <- s
 	applyResponse(&res, &resp)
 	return res
 }

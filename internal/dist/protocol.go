@@ -15,7 +15,8 @@
 // the coordinator checks it and refuses a peer that announces another
 // version or greets with the pre-v3 JSON line, naming the address and
 // what the peer sent. After the hello, one TCP connection multiplexes
-// the worker's whole slot pool: a writer goroutine on each side
+// the worker's whole credit window (windowDepth jobs per slot, queued
+// worker-side) and its cancels. A writer goroutine on each side
 // coalesces queued jobs (or results) into one binary frame and flushes
 // only when its queue goes idle, so a dispatch burst pays one syscall
 // instead of one per job. Frames carry varint headers, length-delimited
@@ -33,8 +34,9 @@ import (
 )
 
 // protocolVersion is the one version this build speaks; a hello that
-// announces any other is refused.
-const protocolVersion = 3
+// announces any other is refused. 4 is the v3 framing with request ids
+// and the cancel frame: a worker from a build before them announces 3.
+const protocolVersion = 4
 
 // hello is the worker's greeting, the first frame on every connection.
 type hello struct {
@@ -45,20 +47,27 @@ type hello struct {
 
 // request is one job execution request.
 type request struct {
+	// ID tags the request on its session: unique per connection (job
+	// seqs are not — two jobd queues both have a seq 1), echoed by the
+	// response and named by a cancel.
+	ID      uint64
 	Seq     int
 	Slot    int
 	Command string
 	Args    []string
 	Env     []string
 	Stdin   []byte
-	// TimeoutNS caps execution worker-side (belt and braces: the
-	// coordinator also enforces it).
+	// TimeoutNS caps execution worker-side, timed from the job's start
+	// there rather than from when the coordinator credited it.
 	TimeoutNS int64
+	// cancel, when set, makes this send-queue entry a cancel of those
+	// request ids instead of a job: they leave in one cancel frame.
+	cancel []uint64
 }
 
 // response reports one job's outcome.
 type response struct {
-	Seq      int
+	ID       uint64
 	ExitCode int
 	Err      string
 	Stdout   []byte

@@ -45,7 +45,8 @@ func TestCheckHello(t *testing.T) {
 		{hello{Version: protocolVersion, Name: "w", Slots: 64}, ""},
 		{hello{Version: 0, Name: "w", Slots: 1}, "protocol version 0"},
 		{hello{Version: 1, Name: "w", Slots: 1}, "protocol version 1"},
-		{hello{Version: protocolVersion + 1, Name: "w", Slots: 1}, "protocol version 4"},
+		{hello{Version: 3, Name: "w", Slots: 1}, "protocol version 3"},
+		{hello{Version: protocolVersion + 1, Name: "w", Slots: 1}, "protocol version 5"},
 		{hello{Version: protocolVersion, Name: "w", Slots: 0}, "advertises 0 slots"},
 		{hello{Version: protocolVersion, Name: "w", Slots: -3}, "advertises -3 slots"},
 	}
@@ -68,11 +69,11 @@ func TestCheckHello(t *testing.T) {
 // included.
 func TestProtocolGoldenRoundTrips(t *testing.T) {
 	req := request{
-		Seq: 42, Slot: 3, Command: "echo hi", Args: []string{"a b", "c"},
+		ID: 9, Seq: 42, Slot: 3, Command: "echo hi", Args: []string{"a b", "c"},
 		Env: []string{"K=V"}, Stdin: []byte("in\n"), TimeoutNS: 5e9,
 	}
 	resp := response{
-		Seq: 42, ExitCode: 7, Err: "boom", Stdout: []byte("out"),
+		ID: 9, ExitCode: 7, Err: "boom", Stdout: []byte("out"),
 		Stderr: []byte("err"), StartNS: 100, EndNS: 200, TimedOut: true,
 		RecvNS: 90, SentBytes: 3,
 	}
@@ -108,8 +109,8 @@ func TestProtocolGoldenRoundTrips(t *testing.T) {
 	}
 }
 
-// TestProtocolGoldenWire freezes the hello and results encodings (the
-// jobs frame is frozen by TestV3GoldenWire). These literals are the
+// TestProtocolGoldenWire freezes the hello, results and cancel
+// encodings (the jobs frame is frozen by TestV3GoldenWire). These literals are the
 // compatibility contract: changing them is a protocol break, and the
 // hello's version byte must then change with them.
 func TestProtocolGoldenWire(t *testing.T) {
@@ -126,13 +127,13 @@ func TestProtocolGoldenWire(t *testing.T) {
 	}
 
 	resp := response{
-		Seq: 5, ExitCode: -1, StartNS: 100, EndNS: 200, RecvNS: 90, SentBytes: 3,
+		ID: 5, ExitCode: -1, StartNS: 100, EndNS: 200, RecvNS: 90, SentBytes: 3,
 		Err: "x", Stdout: []byte("o"), TimedOut: true,
 	}
 	wantResults := []byte{
 		0x2,             // frame type: results
 		0x1,             // count
-		0x5,             // seq
+		0x5,             // id
 		0x1,             // flags: timed_out
 		0x1,             // exit_code -1 (zigzag)
 		0x64, 0xc8, 0x1, // start_ns 100, end_ns 200
@@ -144,6 +145,21 @@ func TestProtocolGoldenWire(t *testing.T) {
 	}
 	if got := encodeResultsV3(nil, []response{resp}, telemetry.Snapshot{}, false, 0, nil); !bytes.Equal(got, wantResults) {
 		t.Fatalf("results body drifted:\n got %#v\nwant %#v", got, wantResults)
+	}
+
+	wantCancel := []byte{
+		0x4,       // frame type: cancel
+		0x3,       // count
+		0x1,       // id 1
+		0xac, 0x2, // id 300
+		0x7, // id 7
+	}
+	if got := encodeCancelV3(nil, []uint64{1, 300, 7}); !bytes.Equal(got, wantCancel) {
+		t.Fatalf("cancel body drifted:\n got %#v\nwant %#v", got, wantCancel)
+	}
+	typ, body := roundTripFrame(t, wantCancel)
+	if ids, err := decodeCancelV3(body, nil); typ != frameCancelV3 || err != nil || !reflect.DeepEqual(ids, []uint64{1, 300, 7}) {
+		t.Fatalf("cancel round trip: typ=%d ids=%v err=%v", typ, ids, err)
 	}
 }
 
@@ -158,9 +174,9 @@ func FuzzProtocolRoundTrip(f *testing.F) {
 		if deflate {
 			deflateMin = 1
 		}
-		req := request{Seq: seq, Slot: slot, Command: command, Args: []string{command, ""},
+		req := request{ID: uint64(seq), Seq: seq, Slot: slot, Command: command, Args: []string{command, ""},
 			Env: []string{command}, Stdin: stdin, TimeoutNS: timeout}
-		resp := response{Seq: seq, ExitCode: slot, Err: command, Stdout: stdin, Stderr: []byte(command),
+		resp := response{ID: uint64(seq), ExitCode: slot, Err: command, Stdout: stdin, Stderr: []byte(command),
 			StartNS: timeout, EndNS: timeout + 1, RecvNS: timeout - 1, TimedOut: deflate, SentBytes: len(stdin)}
 		snap := telemetry.Snapshot{Worker: command, Slots: slot, Started: int64(seq), UnixNano: timeout}
 
@@ -171,7 +187,7 @@ func FuzzProtocolRoundTrip(f *testing.F) {
 			t.Fatalf("jobs decode: err=%v reqs=%d", err, len(fr.reqs))
 		}
 		got := fr.reqs[0]
-		if got.Seq != req.Seq || got.Slot != req.Slot || got.Command != req.Command ||
+		if got.ID != req.ID || got.Seq != req.Seq || got.Slot != req.Slot || got.Command != req.Command ||
 			got.TimeoutNS != req.TimeoutNS || !reflect.DeepEqual(got.Args, req.Args) ||
 			!reflect.DeepEqual(got.Env, req.Env) || !bytes.Equal(got.Stdin, req.Stdin) {
 			t.Fatalf("request:\ngot  %+v\nwant %+v", got, req)

@@ -137,13 +137,13 @@ func TestV3DeflateDisabled(t *testing.T) {
 // up as a deliberate change to these bytes.
 func TestV3GoldenWire(t *testing.T) {
 	req := request{
-		Seq: 7, Slot: 2, Command: "echo",
+		ID: 1, Seq: 7, Slot: 2, Command: "echo",
 		Args: []string{"a", "bc"}, Env: []string{"K=V"}, Stdin: []byte("hi"),
 	}
 	wantBody := []byte{
-		0x1,                // frame type: jobs
-		0x1,                // count
-		0x7, 0x2, 0x0, 0x0, // seq, slot, timeout, flags
+		0x1,                     // frame type: jobs
+		0x1,                     // count
+		0x1, 0x7, 0x2, 0x0, 0x0, // id, seq, slot, timeout, flags
 		0x4, 0x65, 0x63, 0x68, 0x6f, // "echo"
 		0x2, 0x1, 0x61, 0x2, 0x62, 0x63, // args ["a","bc"]
 		0x1, 0x3, 0x4b, 0x3d, 0x56, // env ["K=V"]
@@ -156,11 +156,11 @@ func TestV3GoldenWire(t *testing.T) {
 
 	// Full frame: length prefix + body + CRC32C trailer, byte-frozen.
 	wantFrame := []byte{
-		0x0, 0x0, 0x0, 0x1d, // length = 29 (1 type + 24 body + 4 crc)
-		0x1, 0x1, 0x7, 0x2, 0x0, 0x0, 0x4, 0x65, 0x63, 0x68, 0x6f,
+		0x0, 0x0, 0x0, 0x1e, // length = 30 (1 type + 25 body + 4 crc)
+		0x1, 0x1, 0x1, 0x7, 0x2, 0x0, 0x0, 0x4, 0x65, 0x63, 0x68, 0x6f,
 		0x2, 0x1, 0x61, 0x2, 0x62, 0x63, 0x1, 0x3, 0x4b, 0x3d, 0x56,
 		0x2, 0x68, 0x69,
-		0x14, 0xe0, 0xb5, 0x5e, // crc32c
+		0xf4, 0x69, 0x57, 0x47, // crc32c
 	}
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
@@ -185,7 +185,7 @@ func TestV3GoldenWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := fr.reqs[0]
-	if got.Seq != 7 || got.Slot != 2 || got.Command != "echo" ||
+	if got.ID != 1 || got.Seq != 7 || got.Slot != 2 || got.Command != "echo" ||
 		len(got.Args) != 2 || got.Args[0] != "a" || got.Args[1] != "bc" ||
 		len(got.Env) != 1 || got.Env[0] != "K=V" || string(got.Stdin) != "hi" {
 		t.Fatalf("decoded request mangled: %+v", got)
@@ -216,15 +216,17 @@ func TestV3CRCDetectsCorruption(t *testing.T) {
 // TestWireCodecV3ZeroAlloc pins the tentpole's 0 allocs/job claim for
 // the no-output job shape on both directions of the codec: encode jobs,
 // zero-copy decode, encode results (with the per-frame telemetry
-// snapshot), copy-out decode.
+// snapshot), copy-out decode, and a cancel frame's encode and decode.
 func TestWireCodecV3ZeroAlloc(t *testing.T) {
-	reqs := []request{{Seq: 1, Slot: 3, Command: "doit --fast", Args: []string{"a", "b"}, Env: []string{"K=V"}}}
-	resps := []response{{Seq: 1, ExitCode: 0, StartNS: 100, EndNS: 200, RecvNS: 50, SentBytes: 0}}
+	reqs := []request{{ID: 1, Seq: 1, Slot: 3, Command: "doit --fast", Args: []string{"a", "b"}, Env: []string{"K=V"}}}
+	resps := []response{{ID: 1, ExitCode: 0, StartNS: 100, EndNS: 200, RecvNS: 50, SentBytes: 0}}
 	snap := telemetry.Snapshot{Worker: "w", Slots: 8, Started: 1, OK: 1, UnixNano: 300}
-	var jb, rb []byte
+	cancels := []uint64{1, 2, 1 << 40}
+	var jb, rb, cb []byte
 	fr := getJobsFrame()
 	defer putJobsFrame(fr)
 	var dst []response
+	var ids []uint64
 
 	allocs := testing.AllocsPerRun(1000, func() {
 		jb = encodeJobsV3(jb[:0], reqs, DefaultDeflateThreshold, nil)
@@ -237,12 +239,16 @@ func TestWireCodecV3ZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		cb = encodeCancelV3(cb[:0], cancels)
+		if ids, err = decodeCancelV3(cb[1:], ids); err != nil {
+			t.Fatal(err)
+		}
 	})
 	if allocs != 0 {
 		t.Fatalf("v3 codec allocates %.1f/job on the steady-state path, want 0", allocs)
 	}
-	if fr.reqs[0].Command != "doit --fast" || dst[0].Seq != 1 {
-		t.Fatalf("codec round trip mangled data: %+v / %+v", fr.reqs[0], dst[0])
+	if fr.reqs[0].Command != "doit --fast" || dst[0].ID != 1 || len(ids) != 3 || ids[2] != 1<<40 {
+		t.Fatalf("codec round trip mangled data: %+v / %+v / %v", fr.reqs[0], dst[0], ids)
 	}
 }
 
@@ -278,16 +284,17 @@ func TestV3FrameWriteReadZeroAlloc(t *testing.T) {
 // the three body decoders: they must return an error or data, never
 // panic, loop, or over-allocate. Seeds: valid frames, a truncated
 // frame, a corrupt CRC, a varint overflow, an oversize length prefix, a
-// lying deflate header, hellos (valid, future version, zero slots), and
-// a pre-v3 JSON hello line.
+// lying deflate header, hellos (valid, future version, zero slots), a
+// pre-v3 JSON hello line, and cancel frames (valid, empty, a count that
+// overruns the body, a truncated id).
 func FuzzDecodeFrameV3(f *testing.F) {
 	jb := encodeJobsV3(nil, []request{
-		{Seq: 1, Command: "echo hi", Args: []string{"a"}, Env: []string{"K=V"}, Stdin: []byte("x")},
+		{ID: 1, Seq: 1, Command: "echo hi", Args: []string{"a"}, Env: []string{"K=V"}, Stdin: []byte("x")},
 	}, 0, nil)
 	f.Add(frameBytes(f, jb))
 	big := bytes.Repeat([]byte("abcdefgh"), 1024)
 	rb := encodeResultsV3(nil, []response{
-		{Seq: 9, ExitCode: 1, Err: "boom", Stdout: big, Stderr: []byte("e")},
+		{ID: 9, ExitCode: 1, Err: "boom", Stdout: big, Stderr: []byte("e")},
 	}, telemetry.Snapshot{Worker: "w", Slots: 2}, true, 16, nil)
 	f.Add(frameBytes(f, rb))
 	full := frameBytes(f, jb)
@@ -298,12 +305,16 @@ func FuzzDecodeFrameV3(f *testing.F) {
 	f.Add(frameBytes(f, append([]byte{frameJobsV3}, bytes.Repeat([]byte{0xff}, 10)...))) // varint overflow
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})                                       // oversize length prefix
 	// Lying deflate header: flags say deflated but the bytes are not.
-	lying := append([]byte{frameJobsV3, 1, 1, 1, 0, flagStdinDeflated, 1, 'c', 0, 0}, 200, 1, 3, 'n', 'o', 't')
+	lying := append([]byte{frameJobsV3, 1, 1, 1, 1, 0, flagStdinDeflated, 1, 'c', 0, 0}, 200, 1, 3, 'n', 'o', 't')
 	f.Add(frameBytes(f, lying))
 	f.Add(frameBytes(f, encodeHelloV3(nil, hello{Version: protocolVersion, Name: "w", Slots: 8})))
 	f.Add(frameBytes(f, encodeHelloV3(nil, hello{Version: protocolVersion + 1, Name: "future", Slots: 1})))
 	f.Add(frameBytes(f, encodeHelloV3(nil, hello{Version: protocolVersion, Name: "w", Slots: 0})))
 	f.Add([]byte(`{"version":1,"name":"old","slots":4,"max_version":2}` + "\n"))
+	f.Add(frameBytes(f, encodeCancelV3(nil, []uint64{1, 300, 1 << 63})))
+	f.Add(frameBytes(f, encodeCancelV3(nil, nil)))
+	f.Add(frameBytes(f, []byte{frameCancelV3, 5, 1, 2}))
+	f.Add(frameBytes(f, []byte{frameCancelV3, 1, 0x80}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(bytes.NewReader(data))
@@ -311,6 +322,7 @@ func FuzzDecodeFrameV3(f *testing.F) {
 		fr := getJobsFrame()
 		defer putJobsFrame(fr)
 		var dst []response
+		var ids []uint64
 		for i := 0; i < 4; i++ { // a stream may hold several frames
 			typ, body, err := readFrameV3(br, &buf, nil)
 			if err != nil {
@@ -321,6 +333,8 @@ func FuzzDecodeFrameV3(f *testing.F) {
 				_ = decodeJobsV3(body, fr)
 			case frameResultsV3:
 				dst, _, _, _ = decodeResultsV3(body, dst, "w")
+			case frameCancelV3:
+				ids, _ = decodeCancelV3(body, ids)
 			case frameHelloV3:
 				if h, err := decodeHelloV3(body); err == nil {
 					_ = checkHello("fuzz", h)
@@ -427,7 +441,7 @@ func BenchmarkWireLoopback(b *testing.B) {
 // is pinned by TestWireCodecV3ZeroAlloc.
 func BenchmarkWireCodecV3(b *testing.B) {
 	reqs := []request{{Seq: 1, Slot: 3, Command: "doit --fast", Args: []string{"a", "b"}, Env: []string{"K=V"}}}
-	resps := []response{{Seq: 1, ExitCode: 0, StartNS: 100, EndNS: 200, RecvNS: 50}}
+	resps := []response{{ID: 1, ExitCode: 0, StartNS: 100, EndNS: 200, RecvNS: 50}}
 	snap := telemetry.Snapshot{Worker: "w", Slots: 8, Started: 1, OK: 1, UnixNano: 300}
 	var jb, rb []byte
 	fr := getJobsFrame()

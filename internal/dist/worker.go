@@ -120,17 +120,9 @@ func Serve(ctx context.Context, l net.Listener, cfg WorkerConfig) error {
 		logf = func(string, ...any) {}
 	}
 
+	defer l.Close()
+	defer context.AfterFunc(ctx, func() { l.Close() })()
 	var wg sync.WaitGroup
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-		case <-done:
-		}
-		l.Close()
-	}()
-	defer close(done)
-
 	for {
 		conn, err := l.Accept()
 		if err != nil {
@@ -151,6 +143,16 @@ func Serve(ctx context.Context, l net.Listener, cfg WorkerConfig) error {
 	}
 }
 
+// serveConn serves one connection: a hello, then requests in
+// CRC-checked binary frames, decoded zero-copy into pooled frame
+// buffers. A run queue holds them until one of cfg.Slots goroutines
+// (one reused core.Job each) is free, cancel frames drop or kill them,
+// and responses leave through a coalescing writer that piggybacks one
+// telemetry snapshot per frame. The steady-state path allocates nothing
+// per job. When the connection ends, so do its jobs: no one is left to
+// take their results. A worker shutting down hangs up, so its
+// coordinators see the loss instead of waiting on jobs it will never
+// run.
 func serveConn(ctx context.Context, conn net.Conn, cfg WorkerConfig) error {
 	if cfg.Telemetry == nil { // Serve fills this in; guard direct callers
 		cfg.Telemetry = NewWorkerTelemetry()
@@ -160,6 +162,7 @@ func serveConn(ctx context.Context, conn net.Conn, cfg WorkerConfig) error {
 	if cfg.Slots < 1 {
 		cfg.Slots = 1
 	}
+	defer context.AfterFunc(ctx, func() { conn.Close() })()
 	bw := bufio.NewWriterSize(conn, v3BufSize)
 	h := hello{Version: protocolVersion, Name: cfg.Name, Slots: cfg.Slots}
 	if err := writeFrameV3(bw, encodeHelloV3(nil, h), cfg.Wire); err != nil {
@@ -172,7 +175,85 @@ func serveConn(ctx context.Context, conn net.Conn, cfg WorkerConfig) error {
 	if err := refuseJSON(br, "coordinator "+conn.RemoteAddr().String()); err != nil {
 		return err
 	}
-	return serveConnV3(ctx, cfg, br, bw)
+
+	deflateMin := resolveDeflateMin(cfg.DeflateThreshold)
+	respq := make(chan response, 4*cfg.Slots)
+	writeErr := make(chan error, 1)
+	go func() {
+		err := v3ResultsLoop(bw, respq, cfg.Telemetry, deflateMin, cfg.Wire)
+		for range respq { // a failed writer still drains, so no sender blocks
+		}
+		writeErr <- err
+	}()
+
+	cctx, cancel := context.WithCancel(ctx)
+	rq := newRunQueue(cctx, cfg.Slots)
+	var jobs sync.WaitGroup
+	for i := 0; i < cfg.Slots; i++ {
+		jobs.Add(1)
+		go func(slot int) {
+			defer jobs.Done()
+			// One Job struct per slot goroutine, fully overwritten per
+			// dispatch (core.Job is exactly the six wire fields).
+			var job core.Job
+			for {
+				it, jctx, ok := rq.next(slot)
+				if !ok {
+					return
+				}
+				resp := executeV3(jctx, cfg.Runner, cfg.Telemetry, &job, it.req(), it.fr.recvNS)
+				// The runner has returned, so nothing aliases the frame
+				// any more (Runner contract: inputs are only valid
+				// during Run); drop our reference before queueing the
+				// response so the frame can recycle immediately.
+				it.fr.release()
+				respq <- resp
+			}
+		}(i)
+	}
+
+	var readErr error
+	var ids []uint64
+	var dropped []jobItemV3
+	for readErr == nil {
+		// Each frame is read into its own pooled buffer: the decoded
+		// requests alias it until their jobs finish, so the reader must
+		// not reuse it for the next frame.
+		fr := getJobsFrame()
+		typ, body, err := readFrameV3(br, &fr.buf, cfg.Wire)
+		switch {
+		case err != nil:
+		case typ == frameJobsV3:
+			if err = decodeJobsV3(body, fr); err == nil && len(fr.reqs) > 0 {
+				fr.recvNS = time.Now().UnixNano()
+				fr.refs.Store(int32(len(fr.reqs)))
+				if err = rq.push(fr); err == nil {
+					continue
+				}
+			}
+		case typ == frameCancelV3:
+			if ids, err = decodeCancelV3(body, ids); err == nil {
+				dropped = rq.cancel(ids, dropped[:0])
+				for _, it := range dropped {
+					respq <- response{ID: it.req().ID, ExitCode: -1, RecvNS: it.fr.recvNS,
+						Err: "dist: cancelled before it started"}
+					it.fr.release()
+				}
+			}
+		default:
+			err = errUnexpectedFrame
+		}
+		putJobsFrame(fr)
+		readErr = err
+	}
+	cancel()
+	rq.close()
+	jobs.Wait()
+	close(respq)
+	if werr := <-writeErr; werr != nil && eofAsNil(readErr) == nil {
+		return werr
+	}
+	return eofAsNil(readErr)
 }
 
 func eofAsNil(err error) error {
@@ -189,88 +270,119 @@ type jobItemV3 struct {
 	idx int
 }
 
-// serveConnV3 serves one connection after the hello: requests arrive in
-// CRC-checked binary frames and are decoded zero-copy into pooled frame
-// buffers; a fixed pool of cfg.Slots goroutines executes them with one
-// reused core.Job each, and responses leave through a coalescing writer
-// that piggybacks one telemetry snapshot per frame. The steady-state
-// path allocates nothing per job.
-func serveConnV3(ctx context.Context, cfg WorkerConfig, br *bufio.Reader, bw *bufio.Writer) error {
-	deflateMin := resolveDeflateMin(cfg.DeflateThreshold)
-	respq := make(chan response, 4*cfg.Slots)
-	writeErr := make(chan error, 1)
-	go func() {
-		writeErr <- v3ResultsLoop(bw, respq, cfg.Telemetry, deflateMin, cfg.Wire)
-	}()
+func (it jobItemV3) req() *request { return &it.fr.reqs[it.idx] }
 
-	jobq := make(chan jobItemV3, cfg.Slots)
-	var jobs sync.WaitGroup
-	for i := 0; i < cfg.Slots; i++ {
-		jobs.Add(1)
-		go func() {
-			defer jobs.Done()
-			// One Job struct per slot goroutine, fully overwritten per
-			// dispatch (core.Job is exactly the six wire fields).
-			var job core.Job
-			for it := range jobq {
-				req := &it.fr.reqs[it.idx]
-				resp := executeV3(ctx, cfg.Runner, cfg.Telemetry, &job, req, it.fr.recvNS)
-				// The runner has returned, so nothing aliases the frame
-				// any more (Runner contract: inputs are only valid
-				// during Run); drop our reference before queueing the
-				// response so the frame can recycle immediately.
-				it.fr.release()
-				respq <- resp // buffered ≥ 4×slots, ≤ slots in flight
-			}
-		}()
-	}
+// runQueue is a connection's worker-side run queue: a ring of the
+// credited jobs no slot has started yet, and what each slot runs. One
+// lock covers both, so a cancel frame applies atomically: a slot freed
+// by one of its kills cannot start a job it drops.
+type runQueue struct {
+	mu      sync.Mutex
+	ready   sync.Cond
+	ctx     context.Context // the connection's
+	items   []jobItemV3
+	head, n int
+	closed  bool
+	slots   []runSlot
+}
 
-	var readErr error
-recvLoop:
-	for {
-		// Each frame is read into its own pooled buffer: the decoded
-		// requests alias it until their jobs finish, so the reader must
-		// not reuse it for the next frame.
-		fr := getJobsFrame()
-		typ, body, err := readFrameV3(br, &fr.buf, cfg.Wire)
-		if err != nil || typ != frameJobsV3 {
-			putJobsFrame(fr)
-			if err == nil {
-				err = errUnexpectedFrame
+// runSlot is a slot's running request id and its context, reused from
+// job to job until a cancel ends it.
+type runSlot struct {
+	id     uint64
+	ctx    context.Context
+	cancel context.CancelFunc
+}
+
+func newRunQueue(ctx context.Context, slots int) *runQueue {
+	q := &runQueue{ctx: ctx, items: make([]jobItemV3, slots*windowDepth), slots: make([]runSlot, slots)}
+	q.ready.L = &q.mu
+	return q
+}
+
+func (q *runQueue) at(i int) *jobItemV3 { return &q.items[(q.head+i)%len(q.items)] }
+
+// push queues fr's requests. A coordinator keeps at most its window
+// queued or running here, so a full ring is a protocol error.
+func (q *runQueue) push(fr *jobsFrame) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.n+len(fr.reqs) > len(q.items) {
+		return errWindowOverrun
+	}
+	for i := range fr.reqs {
+		q.n++
+		*q.at(q.n - 1) = jobItemV3{fr: fr, idx: i}
+		q.ready.Signal() // one idle slot per job, not a stampede
+	}
+	return nil
+}
+
+// remove takes the i-th queued job out of the ring.
+func (q *runQueue) remove(i int) jobItemV3 {
+	it := *q.at(i)
+	for ; i > 0; i-- {
+		*q.at(i) = *q.at(i - 1)
+	}
+	*q.at(0) = jobItemV3{}
+	q.head = (q.head + 1) % len(q.items)
+	q.n--
+	return it
+}
+
+// next blocks until slot can start a job and returns it with its
+// context; false once the queue or the connection ended.
+func (q *runQueue) next(slot int) (jobItemV3, context.Context, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for q.n == 0 && !q.closed {
+		q.ready.Wait()
+	}
+	if q.closed || q.ctx.Err() != nil {
+		return jobItemV3{}, nil, false
+	}
+	it, s := q.remove(0), &q.slots[slot]
+	if s.ctx == nil || s.ctx.Err() != nil {
+		s.ctx, s.cancel = context.WithCancel(q.ctx)
+	}
+	s.id = it.req().ID
+	return it, s.ctx, true
+}
+
+// cancel applies a cancel frame: named queued jobs move to dropped for
+// the caller to answer, named running ones have their context
+// cancelled. A slot keeps its last id until its next job, so naming a
+// job that just finished only costs that slot a fresh context; a slot
+// that has run nothing yet (id 0) has nothing to cancel.
+func (q *runQueue) cancel(ids []uint64, dropped []jobItemV3) []jobItemV3 {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for _, id := range ids {
+		for i := 0; i < q.n; i++ {
+			if q.at(i).req().ID == id {
+				dropped = append(dropped, q.remove(i))
+				break
 			}
-			readErr = err
-			break
 		}
-		if err := decodeJobsV3(body, fr); err != nil {
-			putJobsFrame(fr)
-			readErr = err
-			break
-		}
-		if len(fr.reqs) == 0 {
-			putJobsFrame(fr)
-			continue
-		}
-		fr.recvNS = time.Now().UnixNano()
-		fr.refs.Store(int32(len(fr.reqs)))
-		for i := range fr.reqs {
-			select {
-			case jobq <- jobItemV3{fr: fr, idx: i}:
-			case <-ctx.Done():
-				// Drop this job's and all later undelivered refs so the
-				// frame still recycles once in-flight jobs drain.
-				fr.refs.Add(int32(i - len(fr.reqs)))
-				readErr = ctx.Err()
-				break recvLoop
+		for i := range q.slots {
+			if q.slots[i].id == id && q.slots[i].cancel != nil {
+				q.slots[i].cancel()
 			}
 		}
 	}
-	close(jobq)
-	jobs.Wait()
-	close(respq)
-	if werr := <-writeErr; werr != nil && eofAsNil(readErr) == nil {
-		return werr
+	return dropped
+}
+
+// close ends the queue: idle slots return and queued jobs are dropped
+// unanswered.
+func (q *runQueue) close() {
+	q.mu.Lock()
+	for q.n > 0 {
+		q.remove(0).fr.release()
 	}
-	return eofAsNil(readErr)
+	q.closed = true
+	q.mu.Unlock()
+	q.ready.Broadcast()
 }
 
 // executeV3 runs one zero-copy decoded request in a caller-owned Job.
@@ -294,7 +406,7 @@ func executeV3(ctx context.Context, runner core.Runner, wt *WorkerTelemetry, job
 	res := runner.Run(runCtx, job)
 	wt.busy.Add(-1)
 	resp := response{
-		Seq:       res.Job.Seq,
+		ID:        req.ID,
 		ExitCode:  res.ExitCode,
 		Stdout:    res.Stdout,
 		Stderr:    res.Stderr,

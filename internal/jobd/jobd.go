@@ -52,7 +52,7 @@ var (
 // QueueConfig is a queue's tenant policy, persisted as queue.json in
 // the queue directory.
 type QueueConfig struct {
-	// Quota is the queue's own -j: the most slots it may occupy at
+	// Quota is the queue's own -j: the most of its jobs executing at
 	// once, however idle the rest of the pool is.
 	Quota int `json:"quota"`
 	// Weight is the queue's fair share when the global pool is
@@ -139,6 +139,17 @@ type Server struct {
 	closed bool
 }
 
+// jobsFor is how many of a queue's jobs the runner may hold in flight
+// so that at most limit of them execute at once: dist.Pool answers with
+// its credit window when limit covers its execution slots; any other
+// runner executes what it holds.
+func jobsFor(r core.Runner, limit int) int {
+	if p, ok := r.(interface{ Jobs(limit int) int }); ok {
+		return p.Jobs(limit)
+	}
+	return limit
+}
+
 // New opens the service over cfg.Dir, resuming every queue found there
 // (a directory containing queue.json): each queue's WAL is replayed
 // and its engine restarted so interrupted jobs re-run exactly once.
@@ -167,7 +178,9 @@ func New(cfg Config) (*Server, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	sched, err := newScheduler(cfg.Slots)
+	// The scheduler counts the runner's credits, so a windowed queue's
+	// prefetch is charged to its tenant.
+	sched, err := newScheduler(jobsFor(cfg.Runner, cfg.Slots))
 	if err != nil {
 		return nil, err
 	}

@@ -597,7 +597,7 @@ func (q *queue) startEngineLocked() error {
 	q.mu.Unlock()
 
 	spec := &core.Spec{
-		Jobs:       quota,
+		Jobs:       jobsFor(q.srv.runner, quota),
 		Template:   jobTemplate,
 		Retries:    1,
 		WAL:        q.wal,
