@@ -2,8 +2,15 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"os"
+	"os/exec"
+	"runtime"
+	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/args"
 	"repro/internal/wal"
@@ -161,6 +168,82 @@ func BenchmarkDispatchWAL(b *testing.B) {
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
 		})
 	}
+}
+
+// BenchmarkExecSpawn measures the launcher CPU one process start costs,
+// from RUSAGE_SELF so the children's own CPU is excluded: through
+// ExecRunner in each output mode, and through a bare os.StartProcess +
+// Wait of the same argv — the floor a runner's own work adds to. Each
+// runs `true` on runtime.NumCPU() goroutines, as the engine's -j nproc
+// default would.
+func BenchmarkExecSpawn(b *testing.B) {
+	path, err := exec.LookPath("true")
+	if err != nil {
+		b.Skip("no true binary:", err)
+	}
+	null, err := os.OpenFile(os.DevNull, os.O_RDWR, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer null.Close()
+	floorAttr := &os.ProcAttr{Env: os.Environ(), Files: []*os.File{null, null, null}}
+	viaRunner := func(r *ExecRunner) func() error {
+		job := &Job{Seq: 1, Command: "true"}
+		return func() error {
+			if res := r.Run(context.Background(), job); !res.OK() {
+				return fmt.Errorf("true: err=%v exit=%d", res.Err, res.ExitCode)
+			}
+			return nil
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		spawn func() error
+	}{
+		{"runner/discard", viaRunner(&ExecRunner{DiscardOutput: true})},
+		{"runner/capture", viaRunner(&ExecRunner{})},
+		{"floor", func() error {
+			p, err := os.StartProcess(path, []string{"true"}, floorAttr)
+			if err != nil {
+				return err
+			}
+			_, err = p.Wait()
+			return err
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			if err := c.spawn(); err != nil { // warm the lookup, env and pools
+				b.Fatal(err)
+			}
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			cpu0 := selfCPU()
+			b.ResetTimer()
+			for g := 0; g < runtime.NumCPU(); g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for next.Add(1) <= int64(b.N) {
+						if err := c.spawn(); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			b.ReportMetric(float64((selfCPU()-cpu0).Microseconds())/float64(b.N), "cpu-us/proc")
+		})
+	}
+}
+
+// selfCPU is this process's user+system CPU time, children excluded.
+func selfCPU() time.Duration {
+	var ru syscall.Rusage
+	// Getrusage(RUSAGE_SELF) cannot fail with a valid who and pointer.
+	_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ru)
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 func benchName(k string, v int) string {

@@ -5,48 +5,56 @@ package core
 import (
 	"errors"
 	"os"
-	"os/exec"
 	"syscall"
-	"time"
 )
 
-// setProcGroup places the child in its own process group so that
+// procAttrSys places each child in its own process group so that
 // cancellation signals reach grandchildren too (`sh -c 'work & wait'`).
 // The child becomes the group leader, so -pid addresses the whole group.
-func setProcGroup(cmd *exec.Cmd) {
-	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
+// os.StartProcess only reads it.
+var procAttrSys = &syscall.SysProcAttr{Setpgid: true}
+
+// signalGroup sends the job's process group SIGKILL, or SIGTERM when
+// kill is false. If the group cannot be signalled (EPERM) the direct
+// child gets the signal instead.
+func signalGroup(p *os.Process, kill bool) {
+	sig := syscall.SIGTERM
+	if kill {
+		sig = syscall.SIGKILL
+	}
+	if err := syscall.Kill(-p.Pid, sig); err != nil && !errors.Is(err, syscall.ESRCH) {
+		_ = p.Signal(sig) // fails only once the child is gone
+	}
 }
 
-// terminateGroup implements exec.Cmd.Cancel: with a grace window the
-// group gets SIGTERM first (SIGKILL follows from killGroup once Wait
-// returns, or Go's WaitDelay kill for a stuck direct child); without one
-// the group is SIGKILLed immediately.
-func terminateGroup(cmd *exec.Cmd, grace time.Duration) error {
-	p := cmd.Process
-	if p == nil || p.Pid <= 0 {
-		return os.ErrProcessDone
+// pidAlive reports whether a process with the given pid exists (signal 0
+// probe; EPERM counts as alive).
+func pidAlive(pid int) bool {
+	if pid <= 0 {
+		return false
 	}
-	sig := syscall.SIGKILL
-	if grace > 0 {
-		sig = syscall.SIGTERM
-	}
-	if err := syscall.Kill(-p.Pid, sig); err != nil {
-		if errors.Is(err, syscall.ESRCH) {
-			return os.ErrProcessDone
-		}
-		// Group kill unavailable (e.g. the child died before Setpgid
-		// took effect is not possible, but EPERM is): fall back to the
-		// direct child.
-		return p.Signal(sig)
-	}
-	return nil
+	err := syscall.Kill(pid, 0)
+	return err == nil || err == syscall.EPERM
 }
 
-// killGroup SIGKILLs the job's process group, ignoring errors. Called
-// after a cancelled Wait returns, while the reaped leader's pgid is
-// still held by any surviving members.
-func killGroup(cmd *exec.Cmd) {
-	if p := cmd.Process; p != nil && p.Pid > 0 {
-		syscall.Kill(-p.Pid, syscall.SIGKILL)
+// newCaptureFile returns a file that lives as long as a descriptor to it
+// does and leaves nothing behind on disk: a memfd where the kernel offers
+// one, else an unlinked file in the temporary directory.
+func newCaptureFile() (*os.File, error) {
+	if f, err := newMemfd(); err == nil {
+		return f, nil
 	}
+	f, err := os.CreateTemp("", "gopar-out-")
+	if err != nil {
+		return nil, err
+	}
+	if err := os.Remove(f.Name()); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
 }
+
+// closeCaptureFile closes a file from newCaptureFile; it has no name to
+// remove.
+func closeCaptureFile(f *os.File) { f.Close() }

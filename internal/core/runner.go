@@ -1,12 +1,17 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,9 +71,8 @@ type ExecRunner struct {
 	// direct-exec fast path.
 	ForceShell bool
 	// DiscardOutput wires child stdout/stderr straight to a shared
-	// /dev/null descriptor instead of capture buffers. Fire-and-forget
-	// workloads skip both the capture allocation and the per-process
-	// open of /dev/null that os/exec performs for nil streams.
+	// /dev/null descriptor instead of capture files. Fire-and-forget
+	// workloads skip reading the output back.
 	DiscardOutput bool
 	// TermGrace is the window between SIGTERM and SIGKILL when an
 	// attempt is cancelled or times out: the whole process group first
@@ -82,12 +86,18 @@ type ExecRunner struct {
 	// lines frequently repeat verbatim (fixed commands, retries, {}-less
 	// templates), and a single-entry memo makes the repeat case free
 	// without a growing cache. The argv slice is shared read-only:
-	// exec.Command copies it before mutating anything.
+	// os.StartProcess does not modify it.
 	lastArgv atomic.Pointer[argvMemo]
 
-	// envOnce/baseEnv cache os.Environ once per runner; every job append
-	// re-copies (the cap is pinned to the length), so the shared base is
-	// never mutated. Process-env changes made after the first job are
+	// paths caches exec.LookPath per bare command name (string →
+	// string). Only successful lookups are stored, so a command
+	// installed after a failed job is found by the next one, and an
+	// entry whose binary has gone is dropped and looked up again.
+	paths sync.Map
+
+	// envOnce/baseEnv hold the child environment shared by jobs without
+	// an Env of their own, built once per runner; merging a job's Env
+	// copies it. Process-env changes made after the first job are
 	// deliberately not observed.
 	envOnce sync.Once
 	baseEnv []string
@@ -98,54 +108,27 @@ type argvMemo struct {
 	argv    []string
 }
 
-// countingReader counts bytes drained from the job's stdin source — the
-// joblog Send column. The count is atomic because os/exec copies a
-// non-file stdin on its own goroutine, which WaitDelay may abandon
-// still running after Run returns.
-type countingReader struct {
-	r io.Reader
-	n atomic.Int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n.Add(int64(n))
-	return n, err
-}
-
-func (r *ExecRunner) environ() []string {
-	r.envOnce.Do(func() {
-		e := os.Environ()
-		r.baseEnv = e[:len(e):len(e)]
-	})
-	return r.baseEnv
-}
-
-// outBufPool recycles capture buffers across job attempts. Buffers that
-// grew beyond maxPooledBuf are dropped so one huge output cannot pin
-// memory for the rest of the run.
-var outBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-const maxPooledBuf = 1 << 20
-
-func putOutBuf(b *bytes.Buffer) {
-	if b.Cap() <= maxPooledBuf {
-		b.Reset()
-		outBufPool.Put(b)
-	}
-}
+// captureFiles receive one attempt's stdout and stderr. They are
+// nameless files (newCaptureFile) rather than pipes, so the attempt is over when its
+// process exits — a backgrounded grandchild holding stdout open cannot
+// keep it running — and no goroutine copies output while it runs. Each
+// attempt gets a fresh pair, closed once read back: a descendant that
+// outlives the job, in its group or not, holds only this pair and can
+// write into no other job's output.
+type captureFiles struct{ stdout, stderr *os.File }
 
 // devNullFile returns a process-wide shared read/write /dev/null
-// descriptor, nil if it cannot be opened (callers then fall back to
-// os/exec's own per-process handling).
-func devNullFile() *os.File {
-	devNullOnce.Do(func() { devNull, _ = os.OpenFile(os.DevNull, os.O_RDWR, 0) })
-	return devNull
+// descriptor, the stdin of every job without input and the output of
+// DiscardOutput jobs.
+func devNullFile() (*os.File, error) {
+	devNullOnce.Do(func() { devNull, devNullErr = os.OpenFile(os.DevNull, os.O_RDWR, 0) })
+	return devNull, devNullErr
 }
 
 var (
 	devNullOnce sync.Once
 	devNull     *os.File
+	devNullErr  error
 )
 
 // errNoCommand reports an empty rendered command line.
@@ -154,81 +137,263 @@ var errNoCommand = errors.New("core: empty command")
 // Run implements Runner.
 func (r *ExecRunner) Run(ctx context.Context, job *Job) Result {
 	res := Result{Job: *job, ExitCode: -1, Start: time.Now()}
-
-	argv, err := r.argv(job.Command)
-	if err != nil {
+	if err := r.run(ctx, job, &res); err != nil {
 		res.Err = err
 		res.End = time.Now()
-		return res
-	}
-
-	cmd := exec.CommandContext(ctx, argv[0], argv[1:]...)
-	cmd.Dir = r.Dir
-	if len(job.Env) > 0 {
-		// environ() caps the cached slice at its length, so this append
-		// always copies instead of racing other jobs over one backing
-		// array.
-		cmd.Env = append(r.environ(), job.Env...)
-	}
-	var stdout, stderr *bytes.Buffer
-	if r.DiscardOutput {
-		if f := devNullFile(); f != nil {
-			cmd.Stdout = f
-			cmd.Stderr = f
-		}
-	} else {
-		stdout = outBufPool.Get().(*bytes.Buffer)
-		stderr = outBufPool.Get().(*bytes.Buffer)
-		defer putOutBuf(stdout)
-		defer putOutBuf(stderr)
-		cmd.Stdout = stdout
-		cmd.Stderr = stderr
-	}
-	var stdinCount *countingReader
-	if len(job.Stdin) > 0 {
-		stdinCount = &countingReader{r: bytes.NewReader(job.Stdin)}
-		cmd.Stdin = stdinCount
-	}
-	// Run the job in its own process group and, on cancellation, signal
-	// the group rather than just the direct child. WaitDelay guarantees
-	// Wait returns even when a surviving grandchild holds the stdout
-	// pipe open (Go then closes the pipes and kills the direct child).
-	setProcGroup(cmd)
-	cmd.Cancel = func() error { return terminateGroup(cmd, r.TermGrace) }
-	cmd.WaitDelay = r.TermGrace + 2*time.Second
-
-	res.Start = time.Now()
-	err = cmd.Run()
-	res.End = time.Now()
-	if ctx.Err() != nil {
-		// Sweep group members that survived SIGTERM + grace (or that
-		// were forked between signal and exit).
-		killGroup(cmd)
-	}
-	// Copy captured output out of the pooled buffers; empty output (the
-	// common fire-and-forget case) costs nothing.
-	if stdout != nil && stdout.Len() > 0 {
-		res.Stdout = append([]byte(nil), stdout.Bytes()...)
-	}
-	if stderr != nil && stderr.Len() > 0 {
-		res.Stderr = append([]byte(nil), stderr.Bytes()...)
-	}
-	if stdinCount != nil {
-		res.StdinSent = int(stdinCount.n.Load())
-	}
-
-	switch e := err.(type) {
-	case nil:
-		res.ExitCode = 0
-	case *exec.ExitError:
-		res.ExitCode = e.ExitCode()
-	default:
-		res.Err = err
 	}
 	if ctx.Err() != nil && res.ExitCode != 0 {
 		res.Err = ctx.Err()
 	}
 	return res
+}
+
+// run starts job, waits for its process and fills in res's times, exit
+// code, output and StdinSent. It returns what kept the job from running
+// or its output from being read.
+func (r *ExecRunner) run(ctx context.Context, job *Job, res *Result) error {
+	argv, err := r.argv(job.Command)
+	if err != nil {
+		return err
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	null, err := devNullFile()
+	if err != nil {
+		return err
+	}
+	files := []*os.File{null, null, null}
+	var capture *captureFiles
+	if !r.DiscardOutput {
+		if capture, err = newCapture(); err != nil {
+			return err
+		}
+		defer capture.close()
+		files[1], files[2] = capture.stdout, capture.stderr
+	}
+	var stdin *os.File
+	if len(job.Stdin) > 0 {
+		if files[0], stdin, err = os.Pipe(); err != nil {
+			return err
+		}
+	}
+
+	// The spawn and Wait block this thread in syscalls while still
+	// holding its P. A goroutine the caller just readied — the engine's
+	// collector, woken by the previous result — would sit in that P's
+	// run slot until sysmon retakes the P, up to 10 ms: long enough
+	// for --halt now to miss several jobs. Let it run first.
+	runtime.Gosched()
+	res.Start = time.Now()
+	p, err := r.start(argv, &os.ProcAttr{
+		Dir: r.Dir, Env: r.environ(job.Env), Files: files, Sys: procAttrSys,
+	})
+	if stdin != nil {
+		files[0].Close()
+	}
+	if err != nil {
+		if stdin != nil {
+			stdin.Close()
+		}
+		return err
+	}
+	var sent chan int
+	if stdin != nil {
+		// One writer feeds the pipe and closes it so the job sees EOF.
+		// The count is what the pipe accepted — the joblog Send column.
+		sent = make(chan int, 1)
+		go func() {
+			n, _ := stdin.Write(job.Stdin)
+			stdin.Close()
+			sent <- n
+		}()
+	}
+
+	g := &procGroup{p: p}
+	stop := context.AfterFunc(ctx, func() { g.cancel(r.TermGrace) })
+	state, err := p.Wait()
+	res.End = time.Now()
+	stop()
+	g.reaped(ctx.Err() != nil)
+
+	if sent != nil {
+		// Unblocks a write that a surviving reader never drained.
+		stdin.Close()
+		res.StdinSent = <-sent
+	}
+	var readErr error
+	if capture != nil {
+		readErr = capture.read(res)
+	}
+	if err != nil {
+		return err
+	}
+	res.ExitCode = state.ExitCode()
+	return readErr
+}
+
+// procGroup signals a started job's process group on cancellation: at
+// once SIGKILL, or SIGTERM and SIGKILL after the grace window. Once the
+// leader is reaped its pid may be reused, so signals stop.
+type procGroup struct {
+	p     *os.Process
+	mu    sync.Mutex
+	done  bool
+	timer *time.Timer
+}
+
+func (g *procGroup) cancel(grace time.Duration) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.done {
+		return
+	}
+	if grace <= 0 {
+		signalGroup(g.p, true)
+		return
+	}
+	signalGroup(g.p, false)
+	g.timer = time.AfterFunc(grace, func() {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		if !g.done {
+			signalGroup(g.p, true)
+		}
+	})
+}
+
+// reaped records that Wait returned. A cancelled job's group is swept
+// with SIGKILL: members that survived SIGTERM or forked after it still
+// hold the reaped leader's pgid.
+func (g *procGroup) reaped(cancelled bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.done = true
+	if g.timer != nil {
+		g.timer.Stop()
+	}
+	if cancelled {
+		signalGroup(g.p, true)
+	}
+}
+
+// newCapture returns a fresh capture-file pair.
+func newCapture() (*captureFiles, error) {
+	stdout, err := newCaptureFile()
+	if err != nil {
+		return nil, err
+	}
+	stderr, err := newCaptureFile()
+	if err != nil {
+		closeCaptureFile(stdout)
+		return nil, err
+	}
+	return &captureFiles{stdout: stdout, stderr: stderr}, nil
+}
+
+// read fills in res's output from the pair.
+func (c *captureFiles) read(res *Result) error {
+	var errOut, errErr error
+	res.Stdout, errOut = readBack(c.stdout)
+	res.Stderr, errErr = readBack(c.stderr)
+	return errors.Join(errOut, errErr)
+}
+
+func (c *captureFiles) close() {
+	closeCaptureFile(c.stdout)
+	closeCaptureFile(c.stderr)
+}
+
+// readBack returns what was written to f, nil if nothing.
+func readBack(f *os.File) ([]byte, error) {
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading captured output: %w", err)
+	}
+	if size == 0 {
+		return nil, nil
+	}
+	buf := make([]byte, size)
+	n, err := f.ReadAt(buf, 0)
+	if err != nil && err != io.EOF {
+		return nil, fmt.Errorf("core: reading captured output: %w", err)
+	}
+	return buf[:n], nil
+}
+
+// start resolves argv[0] and starts it with attr. A cached path whose
+// binary has gone (moved to another $PATH directory, say) is dropped
+// and looked up once more.
+func (r *ExecRunner) start(argv []string, attr *os.ProcAttr) (*os.Process, error) {
+	path, cached, err := r.lookPath(argv[0])
+	if err != nil {
+		return nil, err
+	}
+	p, err := os.StartProcess(path, argv, attr)
+	if cached && errors.Is(err, fs.ErrNotExist) {
+		r.paths.Delete(argv[0])
+		if path, _, err = r.lookPath(argv[0]); err != nil {
+			return nil, err
+		}
+		p, err = os.StartProcess(path, argv, attr)
+	}
+	return p, err
+}
+
+// lookPath resolves a bare command name through $PATH once per runner,
+// reporting whether the path came from the cache; a name with a path
+// separator is used as given.
+func (r *ExecRunner) lookPath(name string) (path string, cached bool, err error) {
+	if filepath.Base(name) != name {
+		return name, false, nil
+	}
+	if p, ok := r.paths.Load(name); ok {
+		return p.(string), true, nil
+	}
+	p, err := exec.LookPath(name)
+	if err != nil {
+		return "", false, err
+	}
+	r.paths.Store(name, p)
+	return p, false, nil
+}
+
+// environ returns the environment for a job with the given Env: the
+// process's, with PWD set to Dir as os/exec sets it, then the job's
+// entries, each replacing any earlier entry of the same name.
+func (r *ExecRunner) environ(jobEnv []string) []string {
+	r.envOnce.Do(func() {
+		env := os.Environ()
+		if r.Dir != "" {
+			if pwd, err := filepath.Abs(r.Dir); err == nil {
+				env = append(env, "PWD="+pwd)
+			}
+		}
+		r.baseEnv = mergeEnv(nil, env)
+	})
+	if len(jobEnv) == 0 {
+		return r.baseEnv
+	}
+	return mergeEnv(r.baseEnv, jobEnv)
+}
+
+// mergeEnv returns a copy of base with extra merged in, last entry of a
+// name winning. base must hold no name twice.
+func mergeEnv(base, extra []string) []string {
+	env := make([]string, len(base), len(base)+len(extra))
+	copy(env, base)
+	for _, kv := range extra {
+		name, _, _ := strings.Cut(kv, "=")
+		i := slices.IndexFunc(env, func(e string) bool {
+			return len(e) > len(name) && e[len(name)] == '=' && e[:len(name)] == name
+		})
+		if i >= 0 {
+			env[i] = kv
+		} else {
+			env = append(env, kv)
+		}
+	}
+	return env
 }
 
 func (r *ExecRunner) argv(command string) ([]string, error) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -378,5 +379,157 @@ func TestExecRunnerEnvCachedBaseIsolated(t *testing.T) {
 	}
 	if got := strings.TrimSpace(string(b.Stdout)); got != "b" {
 		t.Fatalf("job b saw %q, want %q", got, "b")
+	}
+}
+
+// envLines runs `env` through r and returns the child's environment
+// entries that start with prefix.
+func envLines(t *testing.T, r *ExecRunner, job *Job, prefix string) []string {
+	t.Helper()
+	job.Command = "env"
+	res := r.Run(context.Background(), job)
+	if !res.OK() {
+		t.Fatalf("env: err=%v exit=%d stderr=%s", res.Err, res.ExitCode, res.Stderr)
+	}
+	var got []string
+	for _, line := range strings.Split(string(res.Stdout), "\n") {
+		if strings.HasPrefix(line, prefix) {
+			got = append(got, line)
+		}
+	}
+	return got
+}
+
+func TestExecRunnerPWDFollowsDir(t *testing.T) {
+	dir := t.TempDir()
+	got := envLines(t, &ExecRunner{Dir: dir}, &Job{Seq: 1}, "PWD=")
+	if len(got) != 1 || got[0] != "PWD="+dir {
+		t.Fatalf("PWD entries = %q, want one PWD=%s", got, dir)
+	}
+}
+
+func TestExecRunnerJobEnvOverridesInherited(t *testing.T) {
+	t.Setenv("GOPAR_PIN_VAR", "inherited")
+	got := envLines(t, &ExecRunner{}, &Job{Seq: 1, Env: []string{"GOPAR_PIN_VAR=job"}}, "GOPAR_PIN_VAR=")
+	if len(got) != 1 || got[0] != "GOPAR_PIN_VAR=job" {
+		t.Fatalf("GOPAR_PIN_VAR entries = %q, want exactly the job's", got)
+	}
+}
+
+func TestExecRunnerNotFoundNamesCommand(t *testing.T) {
+	res := (&ExecRunner{}).Run(context.Background(), &Job{Seq: 1, Command: "gopar-no-such-command arg"})
+	if res.OK() || res.Err == nil || !strings.Contains(res.Err.Error(), "gopar-no-such-command") {
+		t.Fatalf("res = %+v, want an error naming the command", res)
+	}
+}
+
+func TestExecRunnerLookupFailureNotCached(t *testing.T) {
+	dir := t.TempDir()
+	t.Setenv("PATH", dir+string(os.PathListSeparator)+os.Getenv("PATH"))
+	r := &ExecRunner{}
+	job := &Job{Seq: 1, Command: "gopar-late-install"}
+	if res := r.Run(context.Background(), job); res.OK() {
+		t.Fatalf("missing command reported OK: %+v", res)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "gopar-late-install"), []byte("#!/bin/sh\necho late\n"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	res := r.Run(context.Background(), job)
+	if !res.OK() || strings.TrimSpace(string(res.Stdout)) != "late" {
+		t.Fatalf("after install: err=%v exit=%d stdout=%q", res.Err, res.ExitCode, res.Stdout)
+	}
+}
+
+func TestExecRunnerStdinSent(t *testing.T) {
+	r := &ExecRunner{}
+	res := r.Run(context.Background(), &Job{Seq: 1, Command: "cat", Stdin: []byte("hello\n")})
+	if !res.OK() || string(res.Stdout) != "hello\n" || res.StdinSent != 6 {
+		t.Fatalf("cat: err=%v stdout=%q sent=%d, want hello and 6", res.Err, res.Stdout, res.StdinSent)
+	}
+	// More than a pipe buffer holds, to a job that reads none of it.
+	big := bytes.Repeat([]byte("x"), 1<<20)
+	res = r.Run(context.Background(), &Job{Seq: 2, Command: "true", Stdin: big})
+	if !res.OK() || res.StdinSent >= len(big) {
+		t.Fatalf("true: err=%v exit=%d sent=%d, want success and fewer than %d", res.Err, res.ExitCode, res.StdinSent, len(big))
+	}
+}
+
+func TestExecRunnerTermIgnoredKilledAtGrace(t *testing.T) {
+	const grace = 300 * time.Millisecond
+	ctx, cancel := context.WithCancel(context.Background())
+	r := &ExecRunner{TermGrace: grace}
+	done := make(chan Result, 1)
+	ready := filepath.Join(t.TempDir(), "ready")
+	go func() {
+		done <- r.Run(ctx, &Job{Seq: 1, Command: "trap '' TERM; : > '" + ready + "'; sleep 30 & wait"})
+	}()
+	for {
+		if _, err := os.Stat(ready); err == nil {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	cancel()
+	start := time.Now()
+	res := <-done
+	if el := time.Since(start); el > grace+time.Second {
+		t.Fatalf("TERM-ignoring job took %v after cancel, want about TermGrace (%v)", el, grace)
+	}
+	if res.OK() {
+		t.Fatalf("cancelled job reported OK: %+v", res)
+	}
+}
+
+// A backgrounded grandchild that keeps stdout open must not hold the
+// job: it succeeds as soon as its own process exits.
+func TestExecRunnerBackgroundedGrandchild(t *testing.T) {
+	start := time.Now()
+	res := (&ExecRunner{}).Run(context.Background(), &Job{Seq: 1, Command: "sh -c 'sleep 4 & echo hi'"})
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("job took %v; the grandchild held it open", el)
+	}
+	if !res.OK() || strings.TrimSpace(string(res.Stdout)) != "hi" {
+		t.Fatalf("err=%v exit=%d stdout=%q, want success and hi", res.Err, res.ExitCode, res.Stdout)
+	}
+}
+
+// A descendant that leaves the job's process group (setsid) and keeps
+// the job's stdout must not write into a later job's captured output.
+func TestExecRunnerEscapedDescendantOutputIsolated(t *testing.T) {
+	if _, err := exec.LookPath("setsid"); err != nil {
+		t.Skip("no setsid:", err)
+	}
+	r := &ExecRunner{}
+	// The short sleep gives setsid time to leave the group before the
+	// job ends.
+	first := r.Run(context.Background(), &Job{Seq: 1, Command: "setsid sh -c 'sleep 0.3; echo leaked' & sleep 0.1"})
+	if !first.OK() {
+		t.Fatalf("job 1: err=%v exit=%d", first.Err, first.ExitCode)
+	}
+	res := r.Run(context.Background(), &Job{Seq: 2, Command: "sleep 0.5; echo mine"})
+	if !res.OK() || string(res.Stdout) != "mine\n" {
+		t.Fatalf("job 2: err=%v exit=%d stdout=%q, want only mine", res.Err, res.ExitCode, res.Stdout)
+	}
+}
+
+// A cached $PATH lookup whose binary has moved to another $PATH
+// directory is looked up again rather than failing every later job.
+func TestExecRunnerMovedBinaryFoundAgain(t *testing.T) {
+	first, second := t.TempDir(), t.TempDir()
+	t.Setenv("PATH", first+string(os.PathListSeparator)+second+string(os.PathListSeparator)+os.Getenv("PATH"))
+	if err := os.WriteFile(filepath.Join(first, "gopar-moving"), []byte("#!/bin/sh\necho moved\n"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	r := &ExecRunner{}
+	job := &Job{Seq: 1, Command: "gopar-moving"}
+	if res := r.Run(context.Background(), job); !res.OK() {
+		t.Fatalf("before move: err=%v exit=%d", res.Err, res.ExitCode)
+	}
+	if err := os.Rename(filepath.Join(first, "gopar-moving"), filepath.Join(second, "gopar-moving")); err != nil {
+		t.Fatal(err)
+	}
+	res := r.Run(context.Background(), job)
+	if !res.OK() || strings.TrimSpace(string(res.Stdout)) != "moved" {
+		t.Fatalf("after move: err=%v exit=%d stdout=%q", res.Err, res.ExitCode, res.Stdout)
 	}
 }

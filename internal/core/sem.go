@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"syscall"
 	"time"
 )
 
@@ -126,14 +125,4 @@ func stringTrim(b []byte) string {
 		j--
 	}
 	return string(b[i:j])
-}
-
-// pidAlive reports whether a process with the given pid exists (signal 0
-// probe; EPERM counts as alive).
-func pidAlive(pid int) bool {
-	if pid <= 0 {
-		return false
-	}
-	err := syscall.Kill(pid, 0)
-	return err == nil || err == syscall.EPERM
 }
