@@ -642,7 +642,7 @@ func TestCLIReportJoblogSlots(t *testing.T) {
 	logPath := filepath.Join(dir, "run.log")
 	items := []string{":::", "1", "2", "3", "4", "5", "6", "7", "8"}
 	if _, _, exit := gopar(t, "", append([]string{"-quiet", "-j", "4", "--joblog", logPath,
-		"sleep 0.2"}, items...)...); exit != 0 {
+		"sleep 0.{}"}, items...)...); exit != 0 {
 		t.Fatalf("run exit = %d", exit)
 	}
 	out, stderr, exit := gopar(t, "", "report", "--joblog", logPath, "--json", "-")

@@ -511,7 +511,7 @@ func run() int {
 			}
 			fmt.Fprintln(os.Stderr)
 			spec.ResumeFrom = done
-			spec.WALDigests = st.Digests
+			spec.WALVerifier = st.Verifier()
 		}
 		spec.WAL = walLog
 		if rec != nil {

@@ -277,14 +277,10 @@ func (rs *runState) startInput(src args.Source) {
 			// repurpose the record and before any slot sees the job —
 			// an intent is durable (per sync policy) by the time the
 			// job exists in the pipeline.
-			if s.WALDigests != nil {
-				if want, ok := s.WALDigests[seq]; ok && want != 0 {
-					if got := wal.ArgsDigest(rec); got != want {
-						rs.setWalErr(fmt.Errorf(
-							"seq %d: input changed under resume: args digest %016x, log recorded %016x",
-							seq, got, want))
-						return
-					}
+			if s.WALVerifier != nil {
+				if err := s.WALVerifier.Check(seq, rec); err != nil {
+					rs.setWalErr(err)
+					return
 				}
 			}
 			if s.ResumeFrom[seq] {

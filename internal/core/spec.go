@@ -188,13 +188,15 @@ type Spec struct {
 	// An append failure aborts the run: a log that can no longer record
 	// is a broken durability promise, not a warning.
 	WAL *wal.Log
-	// WALDigests maps seq → the args digest recorded at intent time in
-	// a previous run's log (wal.State.Digests). When non-nil, the input
-	// goroutine verifies each record it reads against the recorded
-	// digest and fails the run on mismatch: resuming against an input
-	// file that changed out from under the log silently runs the wrong
-	// work, which at scale is worse than stopping.
-	WALDigests map[int]uint64
+	// WALVerifier checks input against a previous run's log
+	// (wal.State.Verifier). When non-nil, the input goroutine passes it
+	// each record it reads, in seq order, and fails the run on a
+	// mismatch: resuming against an input file that changed out from
+	// under the log silently runs the wrong work, which at scale is
+	// worse than stopping. A changed record is refused before any job at
+	// or after its seq is dispatched; one inside a run of jobs the log
+	// folded is named by the run's seq range.
+	WALVerifier *wal.Verifier
 	// OnResult, when non-nil, is called for each finished job (ordered
 	// if KeepOrder). It runs on the collector goroutine: keep it fast.
 	OnResult func(Result)

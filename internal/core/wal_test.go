@@ -79,7 +79,7 @@ func TestEngineWALExactlyOnceResume(t *testing.T) {
 	r2 := &countingRunner{}
 	s2 := walSpec(t, dir, 4)
 	s2.ResumeFrom = st.CompletedOK()
-	s2.WALDigests = st.Digests
+	s2.WALVerifier = st.Verifier()
 	stats2, _, err := newTestEngine(t, s2, r2).Run(context.Background(), args.Literal(input...))
 	if err != nil || stats2.Succeeded != 2 || stats2.Skipped != 38 {
 		t.Fatalf("run2 stats=%+v err=%v", stats2, err)
@@ -135,7 +135,7 @@ func TestEngineWALInFlightRerun(t *testing.T) {
 	r := &countingRunner{}
 	s := walSpec(t, dir, 2)
 	s.ResumeFrom = st.CompletedOK()
-	s.WALDigests = st.Digests
+	s.WALVerifier = st.Verifier()
 	stats, _, err := newTestEngine(t, s, r).Run(context.Background(), args.Literal("v1", "v2", "v3"))
 	if err != nil || stats.Succeeded != 1 || stats.Skipped != 2 {
 		t.Fatalf("stats=%+v err=%v", stats, err)
@@ -165,7 +165,7 @@ func TestEngineWALDigestMismatch(t *testing.T) {
 	r2 := &countingRunner{}
 	s2 := walSpec(t, dir, 2)
 	s2.ResumeFrom = st.CompletedOK()
-	s2.WALDigests = st.Digests
+	s2.WALVerifier = st.Verifier()
 	// Same length, different content at seq 2: the digest check must
 	// trip before the job runs.
 	_, _, err = newTestEngine(t, s2, r2).Run(context.Background(), args.Literal("a", "CHANGED", "c"))

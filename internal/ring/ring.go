@@ -13,7 +13,7 @@ package ring
 // Ring is a FIFO queue backed by a circular buffer. The zero value is an
 // empty, ready-to-use queue. Not safe for concurrent use.
 type Ring[T any] struct {
-	buf  []T
+	buf  []T // length 0 or a power of two, so a wrap is a mask
 	head int // index of the front element
 	n    int // number of live elements
 }
@@ -26,7 +26,7 @@ func (r *Ring[T]) Push(v T) {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = v
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
 	r.n++
 }
 
@@ -38,7 +38,7 @@ func (r *Ring[T]) Pop() T {
 	var zero T
 	v := r.buf[r.head]
 	r.buf[r.head] = zero // release references for GC
-	r.head = (r.head + 1) % len(r.buf)
+	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return v
 }
@@ -52,6 +52,19 @@ func (r *Ring[T]) Front() *T {
 	}
 	return &r.buf[r.head]
 }
+
+// At returns a pointer to the i-th element from the front (0 is the
+// front), for callers that index a window of the queue in place rather
+// than only consuming it in order. It panics when i is out of range.
+func (r *Ring[T]) At(i int) *T {
+	if uint(i) >= uint(r.n) {
+		panic("ring: At index out of range")
+	}
+	return &r.buf[(r.head+i)&(len(r.buf)-1)]
+}
+
+// Cap returns the number of elements the buffer holds before it grows.
+func (r *Ring[T]) Cap() int { return len(r.buf) }
 
 // grow doubles capacity (minimum 8), linearizing live elements.
 func (r *Ring[T]) grow() {

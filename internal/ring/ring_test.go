@@ -118,3 +118,34 @@ func TestPropertyMatchesSliceQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestAtIndexesFromFront(t *testing.T) {
+	var r Ring[int]
+	// Wrap the buffer first so At has to cross the end of the slice.
+	for i := 0; i < 6; i++ {
+		r.Push(i)
+	}
+	for i := 0; i < 5; i++ {
+		r.Pop()
+	}
+	for i := 6; i < 12; i++ {
+		r.Push(i)
+	}
+	for i := 0; i < r.Len(); i++ {
+		if got := *r.At(i); got != 5+i {
+			t.Fatalf("At(%d) = %d, want %d", i, got, 5+i)
+		}
+	}
+	*r.At(2) = -1
+	r.Pop()
+	r.Pop()
+	if got := r.Pop(); got != -1 {
+		t.Fatalf("write through At lost: popped %d", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("At past the back did not panic")
+		}
+	}()
+	r.At(r.Len())
+}

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -34,6 +35,37 @@ func validSegment(tb testing.TB) []byte {
 	return data
 }
 
+// rotatedSegment returns the newest segment of a log that rotated,
+// which opens with carried submits and a watermark checkpoint holding
+// folds, exceptions (a failure, a cancel) and window entries.
+func rotatedSegment(tb testing.TB) []byte {
+	tb.Helper()
+	dir := tb.TempDir()
+	l, _, err := Open(dir, Options{Sync: SyncNever, SegmentBytes: 200})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	l.AppendSubmit([]string{"echo 1", "echo 2", "echo 3", "echo 4", "echo 5", "echo 6", "echo 7", "echo 8"})
+	l.AppendCancel(6)
+	for seq := 1; seq <= 7; seq++ {
+		l.AppendIntent(seq, ArgsDigest([]string{fmt.Sprint("echo ", seq)}))
+		l.AppendCompletion(seq, seq/4%2, time.Millisecond, "worker-9")
+		l.Sync()
+	}
+	segs, err := listSegments(dir)
+	if err != nil || len(segs) == 0 || segs[len(segs)-1].index == 1 {
+		tb.Fatalf("log did not rotate: %v, %v", segs, err)
+	}
+	if err := l.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	data, err := os.ReadFile(segs[len(segs)-1].path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
 // FuzzReplaySegment throws arbitrary bytes at the segment replayer:
 // whatever the corruption — truncation, bit flips, hostile lengths,
 // CRC-valid-but-bogus payloads — Replay must neither panic nor error,
@@ -42,6 +74,7 @@ func validSegment(tb testing.TB) []byte {
 func FuzzReplaySegment(f *testing.F) {
 	seg := validSegment(f)
 	f.Add(seg)
+	f.Add(rotatedSegment(f))
 	f.Add(seg[:len(seg)-3])                   // torn tail
 	f.Add(seg[:headerSize])                   // header only
 	f.Add([]byte{})                           // empty file

@@ -9,7 +9,7 @@
 //
 //	[u32le payload length][u32le CRC32C(payload)][payload]
 //
-// Six record types exist (first payload byte):
+// Seven record types exist (first payload byte):
 //
 //   - intent ('I'): appended before a job is handed to an execution
 //     slot or dist worker. Carries the job's seq and a 64-bit digest of
@@ -23,11 +23,18 @@
 //     the seq has no completion at that point in the log.
 //   - completion ('C'): appended as the collector receives the job's
 //     result. Carries seq, exit status, runtime and host.
-//   - checkpoint ('K'): a snapshot of the completed and in-flight sets,
-//     written at the head of each new segment on rotation so older
-//     segments can be deleted (compaction) without losing resume
-//     information. Pending commands and cancels are carried as S and X
+//   - watermark checkpoint ('W'): a snapshot of the state, written at
+//     the head of each new segment on rotation so older segments can be
+//     deleted (compaction) without losing resume information. It
+//     carries the completion watermark (every seq below it is
+//     terminal), one fold hash per run of ok seqs below it, the sparse
+//     exceptions below it (failed, cancelled, no digest) and every seq
+//     from the watermark up, so its size follows live state and
+//     failures, not the run's length. Pending commands are carried as S
 //     frames written just before it.
+//   - checkpoint ('K'): the full-snapshot checkpoint older versions
+//     wrote (the completed and in-flight sets). Never written now;
+//     replayed so their logs still resume.
 //   - batch ('B'): a concatenation of intent and completion payloads
 //     sharing one frame and one CRC, written by the group-commit
 //     flusher so the per-record framing overhead (8 bytes and a
@@ -57,6 +64,7 @@ const (
 	recIntent     = 'I'
 	recCompletion = 'C'
 	recCheckpoint = 'K'
+	recWatermark  = 'W'
 	recBatch      = 'B'
 	recSubmit     = 'S'
 	recCancel     = 'X'
@@ -361,7 +369,11 @@ func (st *State) apply(payload []byte) error {
 		st.Completed = nst.Completed
 		st.InFlight = nst.InFlight
 		st.Digests = nst.Digests
+		st.watermark, st.folds = 0, nil
 		st.Records++
+
+	case recWatermark:
+		return st.applyWatermark(r)
 
 	default:
 		return fmt.Errorf("wal: unknown record type %q", payload[0])
@@ -422,6 +434,106 @@ func (st *State) applyCompletion(r *payloadReader) error {
 	st.Completed[seq] = int(exit)
 	delete(st.InFlight, seq)
 	delete(st.Pending, seq)
+	st.Records++
+	return nil
+}
+
+// applyWatermark parses a watermark checkpoint body (type byte already
+// consumed). Like a K record it replaces the state accumulated so far,
+// except Pending, which the S frames written just before it carry. The
+// folds expand into exit-0 completions; their digests stay in the
+// folds, for Verifier.
+func (st *State) applyWatermark(r *payloadReader) error {
+	w, err := r.uvarint()
+	if err != nil {
+		return err
+	}
+	if w < 1 || w > math.MaxInt32+1 {
+		return fmt.Errorf("wal: watermark %d out of range", w)
+	}
+	n, err := r.uvarint()
+	if err != nil {
+		return err
+	}
+	// A fold takes at least 10 bytes and an entry 2: a count the
+	// payload cannot hold is corrupt, and must not size an allocation.
+	if n > uint64(len(r.b)-r.off)/10 {
+		return fmt.Errorf("wal: watermark fold count %d out of range", n)
+	}
+	nst := newState()
+	folds := make([]fold, 0, n)
+	prev := uint64(0)
+	for i := uint64(0); i < n; i++ {
+		d, err := r.uvarint()
+		if err != nil {
+			return err
+		}
+		span, err := r.uvarint()
+		if err != nil {
+			return err
+		}
+		h, err := r.u64()
+		if err != nil {
+			return err
+		}
+		lo := prev + d
+		if lo <= prev || span >= w || lo >= w-span {
+			return fmt.Errorf("wal: watermark fold %d+%d out of order or past the watermark %d", lo, span, w)
+		}
+		prev = lo + span
+		folds = append(folds, fold{lo: int(lo), hi: int(prev), h: h})
+		for seq := int(lo); seq <= int(prev); seq++ {
+			nst.Completed[seq] = 0
+		}
+	}
+	n, err = r.uvarint()
+	if err != nil {
+		return err
+	}
+	if n > uint64(len(r.b)-r.off)/2 {
+		return fmt.Errorf("wal: watermark entry count %d out of range", n)
+	}
+	prev = 0
+	for i := uint64(0); i < n; i++ {
+		d, err := r.uvarint()
+		if err != nil {
+			return err
+		}
+		b, err := r.bytes(1)
+		if err != nil {
+			return err
+		}
+		flags := b[0]
+		prev += d
+		if d == 0 || !seqInRange(prev) || flags == 0 || flags >= fCancel<<1 {
+			return fmt.Errorf("wal: watermark entry seq %d flags %#x invalid", prev, flags)
+		}
+		seq := int(prev)
+		if flags&fDone != 0 {
+			exit, err := r.zigzag()
+			if err != nil {
+				return err
+			}
+			nst.Completed[seq] = int(exit)
+		} else if flags&fStarted != 0 {
+			nst.InFlight[seq] = true
+		}
+		if flags&fDigest != 0 {
+			digest, err := r.u64()
+			if err != nil {
+				return err
+			}
+			nst.Digests[seq] = digest
+		}
+		if flags&fCancel != 0 {
+			nst.Cancelled[seq] = true
+		}
+	}
+	if r.off != len(r.b) {
+		return fmt.Errorf("wal: %d trailing bytes after a watermark checkpoint", len(r.b)-r.off)
+	}
+	st.Completed, st.InFlight, st.Digests, st.Cancelled = nst.Completed, nst.InFlight, nst.Digests, nst.Cancelled
+	st.watermark, st.folds = int(w), folds
 	st.Records++
 	return nil
 }

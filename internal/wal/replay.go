@@ -23,6 +23,9 @@ type State struct {
 	InFlight map[int]bool
 	// Digests maps seq → the args digest recorded at intent time, used
 	// to reject resumes whose input set changed out from under the log.
+	// A rotated log keeps single digests only from its watermark up and
+	// for the exceptions below it; the ok runs below it are checked as
+	// folds. Verifier checks both.
 	Digests map[int]uint64
 	// Pending maps seq → command for every submit record whose seq has
 	// no completion: a job service's work still to run.
@@ -40,6 +43,12 @@ type State struct {
 	TornTails int
 	// Segments is the number of segment files visited.
 	Segments int
+
+	// watermark and folds come from the newest watermark checkpoint:
+	// every seq below watermark is terminal, and each fold covers a run
+	// of ok seqs whose digests it hashes instead of Digests.
+	watermark int
+	folds     []fold
 }
 
 func newState() *State {

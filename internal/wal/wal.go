@@ -90,8 +90,10 @@ type Options struct {
 	Interval time.Duration
 	// SegmentBytes rotates to a fresh, checkpoint-compacted segment
 	// once the current one exceeds this size (default 64 MiB — roughly
-	// three million jobs' worth of records; rotation rewrites the full
-	// state snapshot, so small segments churn).
+	// three million jobs' worth of records). The checkpoint a rotation
+	// writes holds the live window, the failures and one hash per run of
+	// ok jobs between them, not the run's history, so the log stays
+	// about two segments long however many jobs the run has.
 	SegmentBytes int64
 	// FsyncObserver, when non-nil, receives the duration of every
 	// fsync — the wal_fsync_seconds telemetry series.
@@ -318,6 +320,8 @@ func (l *Log) Dir() string { return l.dir }
 
 // AppendIntent durably (per the sync policy) records that job seq is
 // about to be executed. digest is ArgsDigest of the job's input record.
+// An intent the log already holds for seq — a job service's submit
+// carries the same digest — is not written again.
 func (l *Log) AppendIntent(seq int, digest uint64) error {
 	if l.async {
 		if ep := l.errp.Load(); ep != nil {
@@ -332,6 +336,9 @@ func (l *Log) AppendIntent(seq int, digest uint64) error {
 	defer l.mu.Unlock()
 	if err := l.checkLocked(PointAppendIntent); err != nil {
 		return err
+	}
+	if l.st.logged(seq, digest) {
+		return nil
 	}
 	if err := l.writeIntentLocked(seq, digest); err != nil {
 		return err
@@ -411,6 +418,7 @@ func (l *Log) AppendCancel(seq int) error {
 		return err
 	}
 	l.st.cancel(seq)
+	l.st.advance()
 	return l.writeThroughLocked(true)
 }
 
@@ -439,6 +447,7 @@ func (l *Log) writeIntentLocked(seq int, digest uint64) error {
 		return err
 	}
 	l.st.intent(seq, digest)
+	l.st.advance() // its completion may have been written first
 	return nil
 }
 
@@ -448,6 +457,7 @@ func (l *Log) writeCompletionLocked(seq, exit int, runtime time.Duration, host s
 		return err
 	}
 	l.st.completion(seq, exit)
+	l.st.advance()
 	return nil
 }
 
@@ -519,6 +529,9 @@ func (l *Log) writeStagedLocked(ib, cb []stagedRec) (*os.File, error) {
 	// would be rejected by replay as torn.
 	const batchCap = 4 << 20
 	for i := range ib {
+		if l.st.logged(int(ib[i].seq), ib[i].digest) {
+			continue
+		}
 		buf = appendIntentPayload(buf, int(ib[i].seq), ib[i].digest)
 		l.st.intent(int(ib[i].seq), ib[i].digest)
 		if len(buf) >= batchCap {
@@ -541,6 +554,7 @@ func (l *Log) writeStagedLocked(ib, cb []stagedRec) (*os.File, error) {
 	if err != nil {
 		return nil, err
 	}
+	l.st.advance()
 	if l.rotateDueLocked() {
 		return nil, l.rotateLocked()
 	}
@@ -621,22 +635,22 @@ func (l *Log) commitLocked() error {
 }
 
 // rotateDueLocked decides when the segment is full enough to rotate.
-// The naive rule (segSize >= SegmentBytes) collapses at scale: each
-// rotation rewrites the full state snapshot at the head of the new
-// segment, and once the run is large enough that the snapshot itself
-// exceeds the segment budget, every rotation immediately triggers the
-// next — a compaction spiral spending all its time rewriting
-// checkpoints. Requiring the segment to also hold twice its own head
-// checkpoint in fresh records keeps the amortized checkpoint cost
-// bounded (each snapshot byte is paid for by at least two bytes of new
-// records) no matter how many jobs the run accumulates.
+// The naive rule (segSize >= SegmentBytes) collapses when the head of
+// the new segment — the carried pending commands and the checkpoint,
+// which grow with the live window and the failures — approaches the
+// segment budget: every rotation would immediately trigger the next, a
+// compaction spiral spending all its time rewriting checkpoints.
+// Requiring the segment to also hold twice its own head in fresh
+// records keeps the amortized cost bounded (each head byte is paid for
+// by at least two bytes of new records) whatever the backlog.
 func (l *Log) rotateDueLocked() bool {
 	if l.segSize < l.opt.SegmentBytes+2*l.ckptSize {
 		return false
 	}
 	// Never rotate into a checkpoint that could not be written: a frame
-	// over maxRecord is rejected by replay, so a run tracking that many
-	// jobs stops compacting and lets the log grow append-only instead.
+	// over maxRecord is rejected by replay, so a run with that many
+	// failures or that long a window stops compacting and lets the log
+	// grow append-only instead.
 	return l.st.estCheckpointBytes() <= maxRecord/2
 }
 
@@ -700,17 +714,10 @@ func (l *Log) rotateLocked() error {
 	if l.hitLocked(PointRotateCheckpoint) {
 		return ErrCrashed
 	}
-	// Carry the pending submits and the cancels ahead of the checkpoint.
-	// A cancel must precede the checkpoint's completions: replay ignores
-	// a cancel that follows its seq's completion.
+	// Carry the pending submits ahead of the checkpoint, which replaces
+	// everything but them; the checkpoint itself carries the cancels.
 	for seq, cmd := range l.st.cmds {
 		l.scratch = appendSubmitPayload(l.scratch[:0], seq, cmd)
-		if err := l.writeLocked(l.scratch); err != nil {
-			return err
-		}
-	}
-	for seq := range l.st.cancels {
-		l.scratch = appendCancelPayload(l.scratch[:0], seq)
 		if err := l.writeLocked(l.scratch); err != nil {
 			return err
 		}
@@ -718,10 +725,10 @@ func (l *Log) rotateLocked() error {
 	l.scratch = l.st.appendCheckpointPayload(l.scratch[:0])
 	if len(l.scratch) > maxRecord {
 		// The snapshot outgrew the largest legal frame (possible only
-		// with estCheckpointBytes badly fooled by adversarial sparse
-		// seqs). Writing it would produce a record replay rejects — and
-		// deleting the older segments it was meant to subsume would
-		// then lose state. Keep every segment and carry on.
+		// with estCheckpointBytes fooled). Writing it would produce a
+		// record replay rejects — and deleting the older segments it was
+		// meant to subsume would then lose state. Keep every segment and
+		// carry on.
 		return nil
 	}
 	if err := l.writeLocked(l.scratch); err != nil {

@@ -43,6 +43,49 @@ func (p *crashPlan) Fired() (string, bool) {
 	return "", false
 }
 
+// resumeCheck asserts what a resume's digest check promises for seqs
+// 1..n of st, whose input records rec gives: the original records all
+// pass, and a record changed at any seq that changed selects is refused
+// before a resume would dispatch any job at or after that seq (every
+// seq from the changed one up to the refusal completed ok, so a resume
+// skips it).
+func resumeCheck(st *State, n int, rec func(seq int) []string, changed func(seq int) bool) error {
+	v := st.Verifier()
+	for seq := 1; seq <= n; seq++ {
+		if err := v.Check(seq, rec(seq)); err != nil {
+			return fmt.Errorf("original input refused: %v", err)
+		}
+	}
+	ok := st.CompletedOK()
+	for bad := 1; bad <= n; bad++ {
+		if !changed(bad) {
+			continue
+		}
+		v := st.Verifier()
+		refused := 0
+		for seq := 1; seq <= n && refused == 0; seq++ {
+			r := rec(seq)
+			if seq == bad {
+				r = append(r, "changed")
+			}
+			if v.Check(seq, r) != nil {
+				refused = seq
+			}
+		}
+		if refused == 0 {
+			return fmt.Errorf("input changed at seq %d passed the check", bad)
+		}
+		for seq := bad; seq < refused; seq++ {
+			if !ok[seq] {
+				return fmt.Errorf("input changed at seq %d refused only at seq %d, after a resume dispatched seq %d", bad, refused, seq)
+			}
+		}
+	}
+	return nil
+}
+
+func everySeq(int) bool { return true }
+
 func openT(t *testing.T, dir string, opt Options) (*Log, *State) {
 	t.Helper()
 	l, st, err := Open(dir, opt)
@@ -264,9 +307,9 @@ func TestRotationCompaction(t *testing.T) {
 		if got := st.CompletedOK()[seq]; got != want {
 			t.Fatalf("seq %d completedOK = %v, want %v", seq, got, want)
 		}
-		if d, ok := st.Digests[seq]; !ok || d != ArgsDigest([]string{fmt.Sprint(seq)}) {
-			t.Fatalf("seq %d digest lost across compaction", seq)
-		}
+	}
+	if err := resumeCheck(st, n, func(seq int) []string { return []string{fmt.Sprint(seq)} }, everySeq); err != nil {
+		t.Fatalf("digests across compaction: %v", err)
 	}
 	if len(st.CompletedOK()) != wantOK {
 		t.Fatalf("completedOK size = %d, want %d", len(st.CompletedOK()), wantOK)
@@ -456,10 +499,10 @@ func TestCrashPointSoak(t *testing.T) {
 					t.Fatalf("seed %d (always): acknowledged completion %d lost (got %v,%v)", seed, seq, got, ok)
 				}
 			}
-			for seq := range intents {
-				if _, ok := st.Digests[seq]; !ok {
-					t.Fatalf("seed %d (always): acknowledged intent %d lost", seed, seq)
-				}
+			input := func(seq int) []string { return []string{fmt.Sprint("input-", seq)} }
+			acked := func(seq int) bool { _, ok := intents[seq]; return ok }
+			if err := resumeCheck(st, njobs, input, acked); err != nil {
+				t.Fatalf("seed %d (always): acknowledged intent lost: %v", seed, err)
 			}
 		}
 
